@@ -8,8 +8,9 @@ import argparse
 
 from ctcseq.ctc import Alphabet
 from ctcseq.data import GenConfig, synthesize
+from ctcseq.decoder import DECODERS
 from ctcseq.model import ModelConfig
-from ctcseq.training import ABLATION_DECODERS, AblationTable, TrainConfig, ablate
+from ctcseq.training import AblationTable, TrainConfig, ablate
 
 
 def main() -> None:
@@ -38,7 +39,7 @@ def main() -> None:
         print(f"seed {seed}:")
         print(table.to_text())
         for label, cells in table.rows:
-            row = sums.setdefault(label, {d: 0.0 for d in ABLATION_DECODERS})
+            row = sums.setdefault(label, {d: 0.0 for d in DECODERS})
             for name, acc in cells.items():
                 row[name] += acc / len(args.seeds)
     print(f"mean over seeds {args.seeds}:")

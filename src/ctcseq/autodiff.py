@@ -11,7 +11,6 @@ explicitly zeroed, so per-batch accumulation falls out for free.
 """
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -57,9 +56,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"

@@ -13,16 +13,13 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import decoder as dec
 from .config import default_config, load_config, save_config
 from .ctc import Alphabet
 from .data import load_dataset, normalize, read_tensor, save_dataset, synthesize
 from .lm import lm_train, load_lm, save_lm
-from .model import ModelConfig, load_checkpoint, motion_prior
-from .training import TrainConfig, ablate, evaluate, train
-from .model import Recognizer
+from .model import Recognizer, load_checkpoint, motion_prior
+from .training import ablate, evaluate, train
 
 DEFAULT_LETTERS = "abcde"
 
@@ -76,8 +73,6 @@ def _eval_report(args, partition: str):
     if not clips:
         raise ValueError(f"no clips in partition {partition!r}")
     lm = load_lm(args.lm) if args.lm else None
-    if args.decoder == "beam-lm" and lm is None:
-        raise ValueError("--decoder beam-lm requires --lm")
     return evaluate(
         model, clips, decoder=args.decoder, beam_width=args.beam_width,
         lm=lm, alpha=args.alpha, alphabet=split.alphabet, prefix=partition,
@@ -97,20 +92,18 @@ def _cmd_eval(args) -> int:
 
 def _cmd_decode(args) -> int:
     model = load_checkpoint(args.ckpt)
-    frames = read_tensor(args.clip)
     letters = Alphabet(tuple(args.alphabet))
+    if len(letters.letters) != model.cfg.num_classes:
+        raise ValueError(f"--alphabet has {len(letters.letters)} letters, "
+                         f"but the checkpoint has {model.cfg.num_classes}")
+    frames = read_tensor(args.clip)
     if args.priors:
         priors = read_tensor(args.priors)
     else:
         priors = motion_prior(frames, model.cfg.feat_grid)
     dist = model.forward(normalize(frames), priors=priors)
-    if args.decoder == "greedy":
-        pred = dec.greedy_decode(dist)
-    elif args.decoder == "beam":
-        pred = dec.beam_decode(dist, args.beam_width)
-    else:
-        lm = load_lm(args.lm)
-        pred = dec.lm_fused_beam_decode(dist, args.beam_width, lm, args.alpha, letters)
+    lm = load_lm(args.lm) if args.lm else None
+    pred = dec.decode(dist, args.decoder, args.beam_width, lm, args.alpha, letters)
     print(letters.decode(pred))
     return 0
 
@@ -162,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--decoder", choices=("greedy", "beam", "beam-lm"), default="greedy")
+    p.add_argument("--decoder", choices=dec.DECODERS, default="greedy")
     p.add_argument("--beam-width", type=int, default=20)
     p.add_argument("--lm", default=None)
     p.add_argument("--alpha", type=float, default=0.2)
@@ -174,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--clip", required=True)
     p.add_argument("--priors", default=None, help="optional precomputed prior maps (tensor container)")
-    p.add_argument("--decoder", choices=("greedy", "beam", "beam-lm"), default="greedy")
+    p.add_argument("--decoder", choices=dec.DECODERS, default="greedy")
     p.add_argument("--beam-width", type=int, default=20)
     p.add_argument("--lm", default=None)
     p.add_argument("--alpha", type=float, default=0.2)

@@ -53,7 +53,7 @@ def _parse_value(text: str, annotation):
     return text
 
 
-def load_config(path, overrides: dict | None = None) -> dict:
+def load_config(path) -> dict:
     """Read a config file into {'model': ModelConfig, 'train': TrainConfig,
     'data': GenConfig}; missing keys keep their dataclass defaults."""
     parser = configparser.ConfigParser()
@@ -71,8 +71,6 @@ def load_config(path, overrides: dict | None = None) -> dict:
                 if key not in names:
                     raise ValueError(f"unknown config key [{section}] {key}")
                 kwargs[key] = _parse_value(raw, types[key])
-        if overrides and section in overrides:
-            kwargs.update(overrides[section])
         out[section] = cls(**kwargs)
     return out
 

@@ -169,56 +169,25 @@ def _extended_target(target: list[int], blank: int) -> list[int]:
     return ext
 
 
-def _forward_lattice(lp: np.ndarray, ext: list[int]) -> np.ndarray:
-    t_total, _ = lp.shape
-    s_total = len(ext)
-    alpha = np.full((t_total, s_total), NEG_INF)
-    alpha[0, 0] = lp[0, ext[0]]
-    if s_total > 1:
-        alpha[0, 1] = lp[0, ext[1]]
-    blank = ext[0]
-    for t in range(1, t_total):
-        prev = alpha[t - 1]
+def _lattice(lp: np.ndarray, ext) -> np.ndarray:
+    """Log mass entering each lattice state at frame t, before frame t's
+    emission. ``_lattice(lp, ext) + lp[:, ext]`` is the forward variable;
+    the backward variable is the same recursion run on reversed frames and
+    the reversed extended target, flipped back.
+    """
+    ext = np.asarray(ext)
+    emit = lp[:, ext]
+    # a skip over a blank is allowed unless it would merge a repeated letter
+    skip = np.flatnonzero((ext[2:] != ext[0]) & (ext[2:] != ext[:-2])) + 2
+    mass = np.full(emit.shape, NEG_INF)
+    mass[0, :2] = 0.0
+    for t in range(1, len(mass)):
+        prev = mass[t - 1] + emit[t - 1]
         cur = prev.copy()
         cur[1:] = np.logaddexp(cur[1:], prev[:-1])
-        for s in range(2, s_total):
-            if ext[s] != blank and ext[s] != ext[s - 2]:
-                cur[s] = np.logaddexp(cur[s], prev[s - 2])
-        alpha[t] = cur + lp[t, ext]
-    return alpha
-
-
-def _backward_lattice(lp: np.ndarray, ext: list[int]) -> np.ndarray:
-    t_total, _ = lp.shape
-    s_total = len(ext)
-    beta = np.full((t_total, s_total), NEG_INF)
-    beta[t_total - 1, s_total - 1] = 0.0
-    if s_total > 1:
-        beta[t_total - 1, s_total - 2] = 0.0
-    blank = ext[0]
-    for t in range(t_total - 2, -1, -1):
-        nxt = beta[t + 1] + lp[t + 1, ext]
-        cur = nxt.copy()
-        cur[:-1] = np.logaddexp(cur[:-1], nxt[1:])
-        for s in range(s_total - 2):
-            if ext[s + 2] != blank and ext[s + 2] != ext[s]:
-                cur[s] = np.logaddexp(cur[s], nxt[s + 2])
-        beta[t] = cur
-    return beta
-
-
-def ctc_neg_log_prob(log_probs: np.ndarray, target) -> float:
-    """-ln p(target | frames) by the forward dynamic program (log domain)."""
-    lp = np.asarray(log_probs, dtype=np.float64)
-    blank = lp.shape[1] - 1
-    target = validate_target(target, blank)
-    ext = _extended_target(target, blank)
-    alpha = _forward_lattice(lp, ext)
-    s_total = len(ext)
-    tail = alpha[-1, s_total - 1]
-    if s_total > 1:
-        tail = np.logaddexp(tail, alpha[-1, s_total - 2])
-    return float(-tail)
+        cur[skip] = np.logaddexp(cur[skip], prev[skip - 2])
+        mass[t] = cur
+    return mass
 
 
 @dataclass
@@ -239,7 +208,7 @@ def _ctc_loss_node(log_probs: Tensor, target: list[int]) -> CtcLossResult:
     ext = _extended_target(target, blank)
     s_total = len(ext)
 
-    alpha = _forward_lattice(lp, ext)
+    alpha = _lattice(lp, ext) + lp[:, ext]
     tail = alpha[-1, s_total - 1]
     if s_total > 1:
         tail = np.logaddexp(tail, alpha[-1, s_total - 2])
@@ -247,7 +216,7 @@ def _ctc_loss_node(log_probs: Tensor, target: list[int]) -> CtcLossResult:
         # Target needs more frames than available: flag it, never NaN.
         return CtcLossResult(Tensor(float("inf")), feasible=False)
 
-    beta = _backward_lattice(lp, ext)
+    beta = _lattice(lp[::-1], ext[::-1])[::-1, ::-1]
     log_p = tail
 
     # Soft-alignment posterior per (frame, class), aggregated over lattice

@@ -9,7 +9,7 @@ reproducible and parallelizable per clip.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -258,19 +258,30 @@ def write_tensor(path, arr: np.ndarray) -> None:
         fh.write(arr.astype("<f8").tobytes())
 
 
+def read_exact(fh, size: int, path) -> bytes:
+    """The next ``size`` bytes of ``fh``; fewer means the file is truncated."""
+    buf = fh.read(size)
+    if len(buf) != size:
+        raise ValueError(f"truncated file: {path} ends after {fh.tell()} bytes")
+    return buf
+
+
 def read_tensor(path) -> np.ndarray:
     path = Path(path)
     with open(path, "rb") as fh:
         if fh.read(8) != TENSOR_MAGIC:
             raise ValueError(f"not a tensor container: {path}")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = struct.unpack("<I", read_exact(fh, 4, path))
         if version != TENSOR_VERSION:
             raise ValueError(f"unsupported tensor container version {version}")
-        if fh.read(4) != b"f64\x00":
+        if read_exact(fh, 4, path) != b"f64\x00":
             raise ValueError(f"unsupported dtype tag in {path}")
-        (ndim,) = struct.unpack("<I", fh.read(4))
-        shape = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
+        (ndim,) = struct.unpack("<I", read_exact(fh, 4, path))
+        shape = struct.unpack(f"<{ndim}Q", read_exact(fh, 8 * ndim, path))
         payload = fh.read()
+    size = 8 * int(np.prod(shape))
+    if len(payload) != size:
+        raise ValueError(f"tensor payload of {path} has {len(payload)} bytes, shape {shape} needs {size}")
     arr = np.frombuffer(payload, dtype="<f8").reshape(shape)
     return arr.astype(np.float64)
 

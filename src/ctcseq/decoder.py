@@ -176,6 +176,23 @@ def lm_fused_beam_decode(
     return list(beam_search(dist, beam_width, lm=lm, alpha=alpha, alphabet=alphabet)[0].prefix)
 
 
+DECODERS = ("greedy", "beam", "beam-lm")
+
+
+def decode(dist, decoder: str, beam_width: int, lm: CharNGramModel | None, alpha: float,
+           alphabet: Alphabet | None) -> list[int]:
+    """Labels of ``dist`` under the named decoder, one of ``DECODERS``."""
+    if decoder == "greedy":
+        return greedy_decode(dist)
+    if decoder == "beam":
+        return beam_decode(dist, beam_width)
+    if decoder == "beam-lm":
+        if lm is None or alphabet is None:
+            raise ValueError("beam-lm decoding requires a language model and alphabet")
+        return lm_fused_beam_decode(dist, beam_width, lm, alpha, alphabet)
+    raise ValueError(f"unknown decoder {decoder!r}")
+
+
 def greedy_beam_disagreement_example() -> tuple[np.ndarray, Alphabet]:
     """A 5-frame distribution where greedy and beam search disagree.
 

@@ -55,15 +55,6 @@ class CharNGramModel:
         count = nexts.get(symbol, 0)
         return (count + self.smoothing_alpha) / (total + self.smoothing_alpha * v)
 
-    def sequence_log_score(self, word: str) -> float:
-        import math
-
-        score = 0.0
-        for i, ch in enumerate(word):
-            score += math.log(self.cond_prob(ch, word[:i]))
-        score += math.log(self.cond_prob(EOS, word))
-        return score
-
 
 def lm_train(corpus: list[str], order: int, smoothing_alpha: float = 1.0) -> CharNGramModel:
     """Count n-grams of every context length 0..order over the corpus.

@@ -40,10 +40,6 @@ class LossReport:
     feasible: bool
     node: Tensor | None
 
-    def __post_init__(self):
-        if not 0.0 <= self.mel_weight <= 1.0:
-            raise ValueError(f"mel_weight must be in [0, 1]: {self.mel_weight}")
-
 
 def combined_loss(dist: FrameDistributionSeq, target, mel_weight: float) -> LossReport:
     """ctc + mel_weight * mel, with mel converted from bits to nats.

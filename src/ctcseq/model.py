@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .ctc import FrameDistributionSeq
+from .data import read_exact
 
 MASK_OFF = -1e9
 
@@ -444,14 +445,14 @@ def load_checkpoint(path) -> Recognizer:
     with open(path, "rb") as fh:
         if fh.read(8) != CKPT_MAGIC:
             raise ValueError(f"not a checkpoint file: {path}")
-        (mlen,) = struct.unpack("<Q", fh.read(8))
-        manifest = json.loads(fh.read(mlen).decode("utf-8"))
+        (mlen,) = struct.unpack("<Q", read_exact(fh, 8, path))
+        manifest = json.loads(read_exact(fh, mlen, path).decode("utf-8"))
         payload = fh.read()
     if manifest.get("version") != CKPT_VERSION:
         raise ValueError(f"unsupported checkpoint version: {manifest.get('version')}")
     if len(payload) != manifest["payload_bytes"]:
         raise ValueError(
-            f"checkpoint payload truncated: {len(payload)} != {manifest['payload_bytes']} bytes"
+            f"checkpoint payload truncated in {path}: {len(payload)} != {manifest['payload_bytes']} bytes"
         )
     cfg = ModelConfig(**manifest["model_config"])
     model = Recognizer(cfg, seed=0, channels=manifest.get("channels", 3))

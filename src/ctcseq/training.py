@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -130,9 +130,6 @@ class TrainResult:
     best_epoch: int
     skipped_clips: int
 
-    def log_lines(self) -> str:
-        return "".join(f"{r.epoch}\t{r.train_loss:.10f}\t{r.dev_acc_greedy:.6f}\n" for r in self.log)
-
 
 def _forward_clip(model: Recognizer, clip: SyntheticClip, training: bool, rng=None):
     priors = motion_prior(clip.frames, model.cfg.feat_grid)
@@ -148,16 +145,7 @@ def evaluate(model: Recognizer, clips: list[SyntheticClip], decoder: str = "gree
     with no_grad():
         for i, clip in enumerate(clips):
             dist = _forward_clip(model, clip, training=False)
-            if decoder == "greedy":
-                pred = dec.greedy_decode(dist)
-            elif decoder == "beam":
-                pred = dec.beam_decode(dist, beam_width)
-            elif decoder == "beam-lm":
-                if lm is None or alphabet is None:
-                    raise ValueError("beam-lm decoding requires a language model and alphabet")
-                pred = dec.lm_fused_beam_decode(dist, beam_width, lm, alpha, alphabet)
-            else:
-                raise ValueError(f"unknown decoder {decoder!r}")
+            pred = dec.decode(dist, decoder, beam_width, lm, alpha, alphabet)
             results.append((f"{prefix}_{i:05d}", pred, list(clip.target)))
     return evaluate_clips(results)
 
@@ -266,18 +254,16 @@ ABLATION_ROWS = (
     ("ctc+mel+flip", True, True),
 )
 
-ABLATION_DECODERS = ("greedy", "beam", "beam-lm")
-
 
 @dataclass
 class AblationTable:
     rows: list[tuple[str, dict[str, float]]]
 
     def to_text(self) -> str:
-        header = f"{'setting':<16}" + "".join(f"{d:>10}" for d in ABLATION_DECODERS)
+        header = f"{'setting':<16}" + "".join(f"{d:>10}" for d in dec.DECODERS)
         lines = [header]
         for label, cells in self.rows:
-            lines.append(f"{label:<16}" + "".join(f"{cells[d]:>10.4f}" for d in ABLATION_DECODERS))
+            lines.append(f"{label:<16}" + "".join(f"{cells[d]:>10.4f}" for d in dec.DECODERS))
         return "\n".join(lines) + "\n"
 
 
@@ -296,7 +282,7 @@ def ablate(split: DatasetSplit, base_cfg: TrainConfig, model_cfg: ModelConfig) -
         model = Recognizer(model_cfg, seed=cfg.seed)
         train(model, split, cfg)
         cells = {}
-        for decoder in ABLATION_DECODERS:
+        for decoder in dec.DECODERS:
             report = evaluate(
                 model, split.dev, decoder=decoder, beam_width=cfg.beam_width,
                 lm=lm, alpha=cfg.lm_alpha, alphabet=split.alphabet,

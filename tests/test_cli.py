@@ -140,6 +140,39 @@ class TestLmTrainCommand:
 
 
 class TestErrors:
+    @pytest.fixture()
+    def decode_files(self, tmp_path):
+        """A 5-letter checkpoint and a clip container for ``decode``."""
+        import numpy as np
+
+        from ctcseq.data import write_tensor
+        from ctcseq.model import ModelConfig, Recognizer, save_checkpoint
+
+        cfg = ModelConfig(feat_channels=4, feat_grid=(4, 4), pooled_grid=(2, 2), embed_dim=8,
+                          encoder_layers=1, heads=2, ffn_hidden=8, num_classes=5)
+        ckpt, clip = tmp_path / "m.ckpt", tmp_path / "clip.tnsr"
+        save_checkpoint(Recognizer(cfg, seed=0), ckpt)
+        write_tensor(clip, np.random.default_rng(0).random((4, 3, 16, 16)))
+        return ["decode", "--ckpt", str(ckpt), "--clip", str(clip)]
+
+    def test_decode_beam_lm_without_lm(self, decode_files, capsys):
+        assert main(decode_files + ["--decoder", "beam-lm"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_decode_rejects_alphabet_of_wrong_size(self, decode_files, capsys):
+        assert main(decode_files + ["--alphabet", "ab"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:")
+        assert main(decode_files + ["--alphabet", "abcde"]) == 0
+
+    def test_decode_truncated_clip(self, decode_files, capsys):
+        clip = Path(decode_files[-1])
+        clip.write_bytes(clip.read_bytes()[:22])
+        assert main(decode_files) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_missing_file_is_reported(self, tmp_path, capsys):
         code = main(["eval", "--ckpt", str(tmp_path / "nope.ckpt"),
                      "--data", str(tmp_path / "nodata")])

@@ -6,15 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctcseq.autodiff import Parameter, Tensor, finite_difference_check, log_softmax
+from ctcseq.autodiff import Parameter, Tensor, backward, finite_difference_check, log_softmax
 from ctcseq.ctc import (
     Alphabet,
     FrameDistributionSeq,
+    _extended_target,
+    _lattice,
     alignment_probability,
     collapse,
     collapse_partition,
     ctc_loss,
-    ctc_neg_log_prob,
     sequence_probability_bruteforce,
 )
 
@@ -152,8 +153,8 @@ class TestCtcLoss:
         perm = [2, 0, 1]  # relabel letters, blank stays put
         permuted = probs[:, np.argsort(perm + [3])]
         # mapping letters through the same permutation leaves the loss alone
-        base = ctc_neg_log_prob(np.log(probs), target)
-        moved = ctc_neg_log_prob(np.log(permuted), [perm[l] for l in target])
+        base = ctc_loss(FrameDistributionSeq(Tensor(probs)), target).value()
+        moved = ctc_loss(FrameDistributionSeq(Tensor(permuted)), [perm[l] for l in target]).value()
         assert abs(base - moved) < 1e-12
 
     @pytest.mark.parametrize("seed", range(8))
@@ -174,6 +175,79 @@ class TestCtcLoss:
         assert finite_difference_check(f, logits, 1e-5) < 1e-4
 
 
+def long_instance(seed):
+    """T of 4 to 40 frames, up to 26 letters, and a feasible target with an
+    adjacent repeated letter: past the reach of the brute-force oracle."""
+    rng = np.random.default_rng(seed)
+    t = int(rng.integers(4, 41))
+    c = int(rng.integers(1, 27))
+    n = int(rng.integers(2, t // 2 + 1))
+    target = [int(x) for x in rng.integers(0, c, size=n)]
+    k = int(rng.integers(1, n))
+    target[k] = target[k - 1]
+    return random_dist(rng, t, c + 1), target
+
+
+def loop_lattices(lp, ext):
+    """Reference forward and backward variables, one lattice state at a
+    time, in the same operation order as the vectorized routine."""
+    t_total, s_total = lp.shape[0], len(ext)
+    alpha = np.full((t_total, s_total), -np.inf)
+    beta = np.full((t_total, s_total), -np.inf)
+    alpha[0, :2] = lp[0, ext[:2]]
+    beta[-1, -2:] = 0.0
+    for t in range(1, t_total):
+        for s in range(s_total):
+            acc = alpha[t - 1, s]
+            if s >= 1:
+                acc = np.logaddexp(acc, alpha[t - 1, s - 1])
+            if s >= 2 and ext[s] != ext[0] and ext[s] != ext[s - 2]:
+                acc = np.logaddexp(acc, alpha[t - 1, s - 2])
+            alpha[t, s] = acc + lp[t, ext[s]]
+    for t in range(t_total - 2, -1, -1):
+        nxt = beta[t + 1] + lp[t + 1, ext]
+        for s in range(s_total):
+            acc = nxt[s]
+            if s + 1 < s_total:
+                acc = np.logaddexp(acc, nxt[s + 1])
+            if s + 2 < s_total and ext[s] != ext[0] and ext[s] != ext[s + 2]:
+                acc = np.logaddexp(acc, nxt[s + 2])
+            beta[t, s] = acc
+    return alpha, beta
+
+
+class TestLongSequences:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_lattice_matches_per_state_loop_bitwise(self, seed):
+        probs, target = long_instance(seed)
+        lp = np.log(probs)
+        ext = _extended_target(target, probs.shape[1] - 1)
+        alpha, beta = loop_lattices(lp, ext)
+        assert np.array_equal(_lattice(lp, ext) + lp[:, ext], alpha)
+        assert np.array_equal(_lattice(lp[::-1], ext[::-1])[::-1, ::-1], beta)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_time_reversal_leaves_loss_unchanged(self, seed):
+        probs, target = long_instance(seed)
+        forward = ctc_loss(FrameDistributionSeq(Tensor(probs)), target).value()
+        reverse = ctc_loss(FrameDistributionSeq(Tensor(probs[::-1].copy())), target[::-1]).value()
+        assert abs(forward - reverse) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    def test_log_prob_gradient_rows_sum_to_minus_one(self, seed):
+        # each frame sits in exactly one lattice state, so the alignment
+        # posterior of every frame sums to one
+        probs, target = long_instance(seed)
+        log_probs = Parameter(np.log(probs))
+        res = ctc_loss(FrameDistributionSeq(probs=Tensor(probs), log_probs=log_probs), target)
+        assert res.feasible
+        backward(res.loss)
+        assert np.max(np.abs(log_probs.grad.sum(axis=1) + 1.0)) < 1e-9
+
+
 class TestPartition:
     @pytest.mark.parametrize("seed", range(5))
     def test_collapse_map_partitions_path_space(self, seed):
@@ -187,5 +261,5 @@ class TestPartition:
         for target, mass in table.items():
             if len(target) == 0:
                 continue
-            nll = ctc_neg_log_prob(np.log(probs), list(target))
+            nll = ctc_loss(FrameDistributionSeq(Tensor(probs)), list(target)).value()
             assert abs(math.exp(-nll) - mass) < 1e-9

@@ -138,6 +138,20 @@ class TestContainers:
         with pytest.raises(ValueError):
             read_tensor(path)
 
+    # magic, version, dtype tag, ndim, then four 8-byte dims for a clip
+    CLIP_HEADER = 8 + 4 + 4 + 4 + 8 * 4
+
+    @pytest.mark.parametrize(
+        "cut", [*range(CLIP_HEADER), CLIP_HEADER, CLIP_HEADER + 3, -800, -8, -1]
+    )
+    def test_truncated_clip_rejected_naming_the_file(self, tmp_path, cut):
+        clip = synthesize(4, 3, ALPHABET, small_cfg()).train[0]
+        path = tmp_path / "clip.tnsr"
+        write_tensor(path, clip.frames)
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ValueError, match="clip.tnsr"):
+            read_tensor(path)
+
     def test_dataset_round_trip(self, tmp_path):
         split = synthesize(4, 10, ALPHABET, small_cfg())
         save_dataset(split, tmp_path / "ds")

@@ -355,3 +355,19 @@ class TestCheckpoints:
         path.write_bytes(b"garbage!!")
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+    def test_truncated_file_rejected_naming_the_file(self, tmp_path):
+        model = Recognizer(TOY, seed=0)
+        full = tmp_path / "model.ckpt"
+        save_checkpoint(model, full)
+        raw = full.read_bytes()
+        # every offset of the magic and the manifest length, a few inside
+        # the JSON manifest, a few inside the payload
+        manifest_end = 16 + int.from_bytes(raw[8:16], "little")
+        cuts = [*range(17), manifest_end // 2, manifest_end - 1, manifest_end, manifest_end + 5,
+                len(raw) // 2, len(raw) - 8, len(raw) - 1]
+        path = tmp_path / "cut.ckpt"
+        for cut in cuts:
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ValueError, match="cut.ckpt"):
+                load_checkpoint(path)

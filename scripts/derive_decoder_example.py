@@ -22,7 +22,8 @@ import itertools
 
 import numpy as np
 
-from ctcseq.ctc import Alphabet, collapse
+from ctcseq.autodiff import Tensor
+from ctcseq.ctc import Alphabet, FrameDistributionSeq, collapse
 from ctcseq.decoder import beam_decode, greedy_decode
 
 ALPHABET = Alphabet(("o", "c", "a", "t"))
@@ -31,6 +32,12 @@ TARGET = tuple(ALPHABET.encode("cat"))
 GREEDY_WANT = tuple(ALPHABET.encode("oat"))
 T = 5
 CPRIME = ALPHABET.num_classes
+
+
+def as_dist(rows: np.ndarray) -> FrameDistributionSeq:
+    """The decoders' input for probability rows (zeros become -inf)."""
+    with np.errstate(divide="ignore"):
+        return FrameDistributionSeq(Tensor(np.log(rows)))
 
 
 def paths_collapsing_to(target: tuple[int, ...]) -> np.ndarray:
@@ -128,7 +135,7 @@ def main() -> None:
             val, rows = ascend(pattern, rng)
             if val > best[0]:
                 # confirm with the real decoders before accepting
-                if tuple(greedy_decode(rows)) != GREEDY_WANT:
+                if tuple(greedy_decode(as_dist(rows))) != GREEDY_WANT:
                     continue
                 best = (val, rows, pattern)
     val, rows, pattern = best
@@ -137,8 +144,8 @@ def main() -> None:
         (ALPHABET.letters[s] if s != BLANK else "-") for s in pattern))
     np.set_printoptions(precision=6, suppress=True)
     print(rows)
-    print("greedy decode:", ALPHABET.decode(greedy_decode(rows)))
-    print("beam decode  :", ALPHABET.decode(beam_decode(rows, 8)))
+    print("greedy decode:", ALPHABET.decode(greedy_decode(as_dist(rows))))
+    print("beam decode  :", ALPHABET.decode(beam_decode(as_dist(rows), 8)))
 
 
 if __name__ == "__main__":

@@ -2,17 +2,18 @@
 brute-force enumerator for small instances, and the forward-backward loss
 with gradients w.r.t. the producing log-probabilities.
 
-Blank always occupies the last class index. Everything runs in the natural
-log domain; probabilities are exponentiated only at the API boundary.
+Blank always occupies the last class index. Frame distributions are stored
+as natural-log probabilities and the lattice runs in the log domain; only
+the brute-force oracles take probability arrays.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, _node, as_tensor, clamp_min, log
+from .autodiff import Tensor, _node, as_tensor
 
 NEG_INF = float("-inf")
 
@@ -54,44 +55,36 @@ class Alphabet:
 
 @dataclass
 class FrameDistributionSeq:
-    """Per-frame probability rows over C' classes (letters + blank).
+    """Per-frame natural-log probability rows over C' classes (letters +
+    blank); -inf marks a class of probability zero.
 
-    ``log_probs`` is an optional graph-attached cache so losses can avoid
-    re-taking logs of softmax outputs.
+    ``log_probs`` may be attached to a graph, so CTC and MEL differentiate
+    through to the producing logits.
     """
 
-    probs: Tensor
-    log_probs: Tensor | None = field(default=None, repr=False)
+    log_probs: Tensor
 
     def __post_init__(self):
-        self.probs = as_tensor(self.probs)
-        arr = self.probs.data
+        self.log_probs = as_tensor(self.log_probs)
+        arr = self.log_probs.data
         if arr.ndim != 2:
             raise ValueError(f"frame distributions must be T x C': got shape {arr.shape}")
-        if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-9):
-            raise ValueError("frame distribution entries must lie in [0, 1]")
-        if not np.allclose(arr.sum(axis=1), 1.0, atol=1e-9):
-            raise ValueError("each frame distribution row must sum to 1")
+        if np.any(arr > 0.0):
+            raise ValueError("frame log-probabilities must not exceed 0")
+        if not np.all(np.abs(np.logaddexp.reduce(arr, axis=1)) <= 1e-9):
+            raise ValueError("each frame distribution row must sum to 1 (logsumexp 0)")
 
     @property
     def num_frames(self) -> int:
-        return self.probs.shape[0]
+        return self.log_probs.shape[0]
 
     @property
     def num_classes(self) -> int:
-        return self.probs.shape[1]
+        return self.log_probs.shape[1]
 
     @property
     def blank_index(self) -> int:
         return self.num_classes - 1
-
-
-def _probs_array(dist) -> np.ndarray:
-    if isinstance(dist, FrameDistributionSeq):
-        return dist.probs.data
-    if isinstance(dist, Tensor):
-        return dist.data
-    return np.asarray(dist, dtype=np.float64)
 
 
 def collapse(path, blank: int) -> list[int]:
@@ -108,9 +101,10 @@ def collapse(path, blank: int) -> list[int]:
     return [p for p in out if p != blank]
 
 
-def alignment_probability(dist, path) -> float:
-    """Probability of one frame-by-frame alignment (product of lookups)."""
-    probs = _probs_array(dist)
+def alignment_probability(probs, path) -> float:
+    """Probability of one frame-by-frame alignment (product of lookups)
+    through a T x C' probability array."""
+    probs = np.asarray(probs, dtype=np.float64)
     t, cprime = probs.shape
     path = list(path)
     if len(path) != t:
@@ -129,11 +123,11 @@ def validate_target(target, num_letters: int) -> list[int]:
     return target
 
 
-def sequence_probability_bruteforce(dist, target) -> float:
+def sequence_probability_bruteforce(probs, target) -> float:
     """Eq.-by-enumeration oracle: sums every alignment that collapses to
     ``target``. Refuses instances with more than ``BRUTE_FORCE_LIMIT`` paths.
     """
-    probs = _probs_array(dist)
+    probs = np.asarray(probs, dtype=np.float64)
     t, cprime = probs.shape
     blank = cprime - 1
     target = validate_target(target, blank)
@@ -147,9 +141,10 @@ def sequence_probability_bruteforce(dist, target) -> float:
     return total
 
 
-def collapse_partition(dist) -> dict[tuple[int, ...], float]:
-    """Brute-force probability of every label sequence reachable from dist."""
-    probs = _probs_array(dist)
+def collapse_partition(probs) -> dict[tuple[int, ...], float]:
+    """Brute-force probability of every label sequence reachable from a
+    T x C' probability array."""
+    probs = np.asarray(probs, dtype=np.float64)
     t, cprime = probs.shape
     blank = cprime - 1
     if cprime**t > BRUTE_FORCE_LIMIT:
@@ -241,8 +236,4 @@ def ctc_loss(dist: FrameDistributionSeq, target) -> CtcLossResult:
     ``feasible=False`` instead of raising, so batch loops can skip them.
     """
     target = validate_target(target, dist.blank_index)
-    if dist.log_probs is not None:
-        lp = dist.log_probs
-    else:
-        lp = log(clamp_min(dist.probs, 1e-300))
-    return _ctc_loss_node(lp, target)
+    return _ctc_loss_node(dist.log_probs, target)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctc import Alphabet, collapse, _probs_array
+from .ctc import Alphabet, collapse
 from .lm import EOS, CharNGramModel
 
 NEG_INF = float("-inf")
@@ -38,17 +38,11 @@ class BeamHypothesis:
     def log_total(self) -> float:
         return float(np.logaddexp(self.logp_blank, self.logp_nonblank))
 
-    @property
-    def total_mass(self) -> float:
-        return math.exp(self.log_total)
-
 
 def greedy_decode(dist) -> list[int]:
     """Collapse of the per-frame argmax path (ties -> lowest class index)."""
-    probs = _probs_array(dist)
-    blank = probs.shape[1] - 1
-    path = np.argmax(probs, axis=1)
-    return collapse(path.tolist(), blank)
+    path = np.argmax(dist.log_probs.data, axis=1)
+    return collapse(path.tolist(), dist.blank_index)
 
 
 def _expand_step(beams: dict, lp: np.ndarray, blank: int) -> dict:
@@ -105,14 +99,11 @@ def beam_search(
         raise ValueError(f"beam width must be >= 1: {beam_width}")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"language model weight must be in [0, 1]: {alpha}")
-    probs = _probs_array(dist)
-    t_total, cprime = probs.shape
-    blank = cprime - 1
-    with np.errstate(divide="ignore"):
-        logp = np.log(probs)
+    logp = dist.log_probs.data
+    blank = dist.blank_index
 
     beams: dict[tuple[int, ...], tuple[float, float]] = {(): (0.0, NEG_INF)}
-    for t in range(t_total):
+    for t in range(dist.num_frames):
         candidates = _expand_step(beams, logp[t], blank)
         scored = _score_candidates(candidates, lm, alpha, alphabet)
         scored.sort(key=lambda item: (-item[0], item[1]))
@@ -189,6 +180,10 @@ def decode(dist, decoder: str, beam_width: int, lm: CharNGramModel | None, alpha
     if decoder == "beam-lm":
         if lm is None or alphabet is None:
             raise ValueError("beam-lm decoding requires a language model and alphabet")
+        stray = sorted(set(lm.vocab) - {EOS} - set(alphabet.letters))
+        if stray:
+            raise ValueError(f"language model letters {''.join(stray)!r} are not in the alphabet "
+                             f"{''.join(alphabet.letters)!r}")
         return lm_fused_beam_decode(dist, beam_width, lm, alpha, alphabet)
     raise ValueError(f"unknown decoder {decoder!r}")
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .autodiff import Tensor, clamp_min, log, mean_, mul, sub, sum_
+from .autodiff import Tensor, clamp_min, exp, log, mean_, mul, sub, sum_
 from .ctc import CtcLossResult, FrameDistributionSeq, ctc_loss
 
 LN2 = math.log(2.0)
@@ -19,11 +19,13 @@ PROB_FLOOR = 1e-12
 def max_entropy_loss(dist: FrameDistributionSeq) -> Tensor:
     """log2(C') minus the mean per-frame entropy, in bits.
 
-    Zero for uniform frames, log2(C') for one-hot frames. The 0*log(0)
-    convention is realized by clamping probabilities inside the log only,
-    which keeps the gradient finite while matching the entropy limit.
+    Zero for uniform frames, log2(C') for one-hot frames. The probabilities
+    are exponentiated from ``dist.log_probs`` inside the graph; the
+    0*log(0) convention is realized by clamping them inside the log only,
+    which keeps the gradient finite (also for -inf log-probs) while matching
+    the entropy limit.
     """
-    p = dist.probs
+    p = exp(dist.log_probs)
     log2p = mul(log(clamp_min(p, PROB_FLOOR)), 1.0 / LN2)
     entropy_bits = -mean_(sum_(mul(p, log2p), axis=1))
     return sub(math.log2(dist.num_classes), entropy_bits)

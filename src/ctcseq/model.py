@@ -328,22 +328,21 @@ class Recognizer(Module):
     def forward(
         self,
         frames: np.ndarray,
-        priors: np.ndarray | None = None,
+        priors: np.ndarray,
         training: bool = False,
         rng: np.random.Generator | None = None,
         return_state: bool = False,
     ):
-        """Run the network on one normalized clip (T, channels, H, W).
+        """Run the network on one normalized clip (T, channels, H, W) and
+        return its per-frame log-probabilities as a ``FrameDistributionSeq``.
 
-        ``priors`` are per-frame attention prior maps summing to 1; when
-        omitted they are derived from frame differences of the input.
+        ``priors`` are per-frame attention prior maps summing to 1, as
+        ``motion_prior`` derives them from the raw (unnormalized) frames.
         Dropout fires only when ``training`` is set, using ``rng``.
         """
         if training and rng is None:
             raise ValueError("training mode requires an rng for dropout")
         x = Tensor(np.asarray(frames, dtype=np.float64))
-        if priors is None:
-            priors = motion_prior(x.data, self.cfg.feat_grid)
 
         features = self.extractor(x)
         raw = self.spatial(features)
@@ -356,8 +355,7 @@ class Recognizer(Module):
         embeddings = self.embed(ad.reshape(pooled, (pooled.shape[0], -1)))
         encoded = self.encode(embeddings, training, rng)
         logits = self.classifier(encoded) * self.cfg.logit_scale
-        log_probs = ad.log_softmax(logits, axis=-1)
-        dist = FrameDistributionSeq(probs=ad.exp(log_probs), log_probs=log_probs)
+        dist = FrameDistributionSeq(ad.log_softmax(logits, axis=-1))
         if not return_state:
             return dist
         state = AttentionState(

@@ -15,10 +15,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ctcseq.autodiff import exp, finite_difference_check, log_softmax, Parameter
+from ctcseq.autodiff import finite_difference_check
 from ctcseq.ctc import (
     Alphabet,
-    FrameDistributionSeq,
     collapse_partition,
     ctc_loss,
     sequence_probability_bruteforce,
@@ -36,7 +35,7 @@ from ctcseq.losses import combined_loss, max_entropy_loss
 from ctcseq.metrics import letter_accuracy
 from ctcseq.model import ModelConfig, Recognizer, load_checkpoint, motion_prior, save_checkpoint
 from ctcseq.training import TrainConfig, ablate, evaluate, train
-from ctcseq.autodiff import Tensor
+from conftest import dist_of
 
 
 def report(number: int, label: str):
@@ -81,7 +80,7 @@ def test_criterion_01_ctc_oracle_equivalence():
             k = int(rng.integers(0, 4))
             probs = random_dist(rng, t, c + 1)
             target = [int(x) for x in rng.integers(0, c, size=k)]
-            res = ctc_loss(FrameDistributionSeq(Tensor(probs)), target)
+            res = ctc_loss(dist_of(probs), target)
             got = math.exp(-res.loss.item()) if res.feasible else 0.0
             want = sequence_probability_bruteforce(probs, target)
             assert abs(got - want) < 1e-9
@@ -131,16 +130,16 @@ def test_criterion_04_beam_exactness():
             probs = random_dist(rng, t, 3)
             table = collapse_partition(probs)
             map_mass = max(table.values())
-            got = tuple(beam_decode(probs, 3**t + 5))
+            got = tuple(beam_decode(dist_of(probs), 3**t + 5))
             assert table[got] == pytest.approx(map_mass, abs=1e-12)
 
 
 def test_criterion_05_decoder_example_outputs():
     with report(5, "decoder example: greedy returns 'oat', beam (BW>=5) returns 'cat'"):
         probs, alphabet = greedy_beam_disagreement_example()
-        assert alphabet.decode(greedy_decode(probs)) == "oat"
+        assert alphabet.decode(greedy_decode(dist_of(probs))) == "oat"
         for width in (5, 8, 20):
-            assert alphabet.decode(beam_decode(probs, width)) == "cat"
+            assert alphabet.decode(beam_decode(dist_of(probs), width)) == "cat"
 
 
 def test_criterion_05_decoder_example_posterior_value():
@@ -150,8 +149,8 @@ def test_criterion_05_decoder_example_posterior_value():
         # (scripts/derive_decoder_example.py). Asserted as specified.
         probs, alphabet = greedy_beam_disagreement_example()
         p_cat = sequence_probability_bruteforce(probs, alphabet.encode("cat"))
-        hyp = beam_search(probs, 1000)[0]
-        assert abs(hyp.total_mass - p_cat) < 1e-9
+        hyp = beam_search(dist_of(probs), 1000)[0]
+        assert abs(math.exp(hyp.log_total) - p_cat) < 1e-9
         assert abs(p_cat - 0.6) < 1e-9, (
             f"P('cat') = {p_cat:.12f}; 0.6 is unreachable (max 9/16), see decisions ledger"
         )
@@ -159,16 +158,16 @@ def test_criterion_05_decoder_example_posterior_value():
 
 def test_criterion_06_mel_bounds():
     with report(6, "maximum-entropy loss hits its bounds and stays inside them"):
-        uniform = FrameDistributionSeq(Tensor(np.full((5, 8), 1 / 8)))
+        uniform = dist_of(np.full((5, 8), 1 / 8))
         assert abs(max_entropy_loss(uniform).item()) < 1e-12
         one_hot = np.zeros((4, 8))
         one_hot[:, 3] = 1.0
-        spiked = FrameDistributionSeq(Tensor(one_hot))
+        spiked = dist_of(one_hot)
         assert abs(max_entropy_loss(spiked).item() - 3.0) < 1e-12
         rng = np.random.default_rng(1006)
         for _ in range(20):
             probs = random_dist(rng, 4, 8)
-            mel = max_entropy_loss(FrameDistributionSeq(Tensor(probs))).item()
+            mel = max_entropy_loss(dist_of(probs)).item()
             assert 0.0 < mel < 3.0
 
 
@@ -290,12 +289,12 @@ def test_criterion_10_fusion():
         for _ in range(100):
             probs = random_dist(rng, int(rng.integers(1, 6)), 4)
             width = int(rng.integers(1, 7))
-            assert lm_fused_beam_decode(probs, width, lm, 0.0, alphabet) == beam_decode(probs, width)
+            assert lm_fused_beam_decode(dist_of(probs), width, lm, 0.0, alphabet) == beam_decode(dist_of(probs), width)
 
         letters = Alphabet(("a", "b"))
         lm2 = lm_train(["ab", "ba", "ab"], order=2, smoothing_alpha=0.5)
         probs = random_dist(np.random.default_rng(77), 3, 3)
-        hyps = beam_search(probs, 999, lm=lm2, alpha=1.0, alphabet=letters)
+        hyps = beam_search(dist_of(probs), 999, lm=lm2, alpha=1.0, alphabet=letters)
         expected = _fused_scores_by_hand(probs, letters.letters, lm2, 1.0)
         assert len(hyps) == len(expected)
         for h in hyps:

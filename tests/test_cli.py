@@ -1,5 +1,4 @@
 import hashlib
-import os
 from pathlib import Path
 
 import pytest
@@ -165,6 +164,16 @@ class TestErrors:
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error:")
         assert main(decode_files + ["--alphabet", "abcde"]) == 0
+
+    def test_decode_rejects_lm_letters_outside_the_alphabet(self, decode_files, tmp_path, capsys):
+        from ctcseq.lm import lm_train, save_lm
+
+        lm = tmp_path / "xyz.charlm"
+        save_lm(lm_train(["xyz"], order=2), lm)
+        assert main(decode_files + ["--decoder", "beam-lm", "--lm", str(lm)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert "xyz" in err
 
     def test_decode_truncated_clip(self, decode_files, capsys):
         clip = Path(decode_files[-1])

@@ -18,6 +18,7 @@ from ctcseq.ctc import (
     ctc_loss,
     sequence_probability_bruteforce,
 )
+from conftest import dist_of
 
 
 def random_dist(rng, t, cprime):
@@ -64,6 +65,25 @@ class TestCollapse:
         if any(a == b for a, b in zip(once, once[1:])):
             return
         assert collapse(once, blank) == once
+
+
+class TestFrameDistributionSeq:
+    def test_rejects_non_2d_input(self):
+        with pytest.raises(ValueError, match="T x C'"):
+            FrameDistributionSeq(Tensor(np.log(np.full(4, 0.25))))
+
+    def test_rejects_positive_log_prob(self):
+        # the row's logsumexp is 1e-12, inside the tolerance: only the sign
+        # check can catch it
+        with pytest.raises(ValueError, match="exceed 0"):
+            FrameDistributionSeq(Tensor(np.array([[1e-12, -np.inf]])))
+
+    def test_row_logsumexp_tolerance(self):
+        with pytest.raises(ValueError, match="logsumexp"):
+            FrameDistributionSeq(Tensor(np.log([[0.5, 0.5], [0.5, 0.5 - 2e-9]])))
+        with pytest.raises(ValueError, match="logsumexp"):
+            FrameDistributionSeq(Tensor(np.full((1, 3), -np.inf)))
+        FrameDistributionSeq(Tensor(np.log([[0.5, 0.5 - 5e-10]])))
 
 
 class TestAlignmentProbability:
@@ -123,20 +143,20 @@ class TestCtcLoss:
         k = int(rng.integers(0, min(3, t) + 1))
         probs = random_dist(rng, t, c + 1)
         target = [int(x) for x in rng.integers(0, c, size=k)]
-        res = ctc_loss(FrameDistributionSeq(Tensor(probs)), target)
+        res = ctc_loss(dist_of(probs), target)
         bf = sequence_probability_bruteforce(probs, target)
         got = math.exp(-res.loss.item()) if res.feasible else 0.0
         assert abs(got - bf) < 1e-9
 
     def test_one_hot_single_frame_zero_loss(self):
         probs = np.array([[1.0, 0.0, 0.0]])
-        res = ctc_loss(FrameDistributionSeq(Tensor(probs)), [0])
+        res = ctc_loss(dist_of(probs), [0])
         assert res.feasible
         assert res.loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_repeat_needs_three_frames(self):
         probs = np.full((2, 2), 0.5)
-        res = ctc_loss(FrameDistributionSeq(Tensor(probs)), [0, 0])
+        res = ctc_loss(dist_of(probs), [0, 0])
         assert not res.feasible
         assert res.loss.item() == float("inf")
         assert not math.isnan(res.loss.item())
@@ -144,7 +164,7 @@ class TestCtcLoss:
     def test_blank_in_target_rejected(self):
         probs = np.full((2, 3), 1 / 3)
         with pytest.raises(ValueError):
-            ctc_loss(FrameDistributionSeq(Tensor(probs)), [2])
+            ctc_loss(dist_of(probs), [2])
 
     def test_permutation_covariance(self):
         rng = np.random.default_rng(11)
@@ -153,8 +173,8 @@ class TestCtcLoss:
         perm = [2, 0, 1]  # relabel letters, blank stays put
         permuted = probs[:, np.argsort(perm + [3])]
         # mapping letters through the same permutation leaves the loss alone
-        base = ctc_loss(FrameDistributionSeq(Tensor(probs)), target).value()
-        moved = ctc_loss(FrameDistributionSeq(Tensor(permuted)), [perm[l] for l in target]).value()
+        base = ctc_loss(dist_of(probs), target).value()
+        moved = ctc_loss(dist_of(permuted), [perm[l] for l in target]).value()
         assert abs(base - moved) < 1e-12
 
     @pytest.mark.parametrize("seed", range(8))
@@ -166,10 +186,7 @@ class TestCtcLoss:
         target = [int(x) for x in rng.integers(0, c, size=rng.integers(1, 3))]
 
         def f():
-            lp = log_softmax(logits, axis=-1)
-            from ctcseq.autodiff import exp
-
-            dist = FrameDistributionSeq(probs=exp(lp), log_probs=lp)
+            dist = FrameDistributionSeq(log_softmax(logits, axis=-1))
             return ctc_loss(dist, target).loss
 
         assert finite_difference_check(f, logits, 1e-5) < 1e-4
@@ -231,8 +248,8 @@ class TestLongSequences:
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_time_reversal_leaves_loss_unchanged(self, seed):
         probs, target = long_instance(seed)
-        forward = ctc_loss(FrameDistributionSeq(Tensor(probs)), target).value()
-        reverse = ctc_loss(FrameDistributionSeq(Tensor(probs[::-1].copy())), target[::-1]).value()
+        forward = ctc_loss(dist_of(probs), target).value()
+        reverse = ctc_loss(dist_of(probs[::-1].copy()), target[::-1]).value()
         assert abs(forward - reverse) < 1e-12
 
     @settings(max_examples=60, deadline=None)
@@ -242,7 +259,7 @@ class TestLongSequences:
         # posterior of every frame sums to one
         probs, target = long_instance(seed)
         log_probs = Parameter(np.log(probs))
-        res = ctc_loss(FrameDistributionSeq(probs=Tensor(probs), log_probs=log_probs), target)
+        res = ctc_loss(FrameDistributionSeq(log_probs), target)
         assert res.feasible
         backward(res.loss)
         assert np.max(np.abs(log_probs.grad.sum(axis=1) + 1.0)) < 1e-9
@@ -261,5 +278,5 @@ class TestPartition:
         for target, mass in table.items():
             if len(target) == 0:
                 continue
-            nll = ctc_loss(FrameDistributionSeq(Tensor(probs)), list(target)).value()
+            nll = ctc_loss(dist_of(probs), list(target)).value()
             assert abs(math.exp(-nll) - mass) < 1e-9

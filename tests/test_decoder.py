@@ -7,12 +7,14 @@ from ctcseq.ctc import Alphabet, collapse_partition, sequence_probability_brutef
 from ctcseq.decoder import (
     beam_decode,
     beam_search,
+    decode,
     greedy_beam_disagreement_example,
     greedy_decode,
     lm_fused_beam_decode,
     _score_candidates,
 )
 from ctcseq.lm import lm_train
+from conftest import dist_of
 
 
 def random_dist(rng, t, cprime):
@@ -32,17 +34,17 @@ class TestGreedy:
         a = Alphabet(("c", "a", "t"))
         path = a.encode("c") + [a.blank_index] + a.encode("at")
         probs = one_hot_dist(path, a.num_classes)
-        assert greedy_decode(probs) == a.encode("cat")
+        assert greedy_decode(dist_of(probs)) == a.encode("cat")
 
     def test_uniform_ties_pick_lowest_index(self):
         probs = np.full((3, 4), 0.25)
-        assert greedy_decode(probs) == [0]
+        assert greedy_decode(dist_of(probs)) == [0]
 
     def test_never_emits_blank(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             probs = random_dist(rng, 6, 5)
-            assert 4 not in greedy_decode(probs)
+            assert 4 not in greedy_decode(dist_of(probs))
 
 
 class TestBeam:
@@ -50,7 +52,7 @@ class TestBeam:
         a = Alphabet(("c", "a", "t"))
         path = a.encode("ca") + [a.blank_index] + a.encode("t")
         probs = one_hot_dist(path, a.num_classes)
-        assert beam_decode(probs, 1) == greedy_decode(probs)
+        assert beam_decode(dist_of(probs), 1) == greedy_decode(dist_of(probs))
 
     @pytest.mark.parametrize("seed", range(30))
     def test_exhaustive_beam_matches_map_oracle(self, seed):
@@ -59,7 +61,7 @@ class TestBeam:
         probs = random_dist(rng, t, 3)
         table = collapse_partition(probs)
         best = max(table.items(), key=lambda kv: (kv[1], [-x for x in kv[0]]))
-        got = beam_decode(probs, 4**t + 4)
+        got = beam_decode(dist_of(probs), 4**t + 4)
         assert table[tuple(got)] == pytest.approx(best[1], abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -67,11 +69,11 @@ class TestBeam:
         rng = np.random.default_rng(100 + seed)
         t = int(rng.integers(1, 5))
         probs = random_dist(rng, t, 3)
-        hyps = beam_search(probs, beam_width=200)
+        hyps = beam_search(dist_of(probs), beam_width=200)
         for h in hyps:
             bf = sequence_probability_bruteforce(probs, list(h.prefix))
-            assert h.total_mass <= 1.0 + 1e-12
-            assert abs(h.total_mass - bf) < 1e-9
+            assert math.exp(h.log_total) <= 1.0 + 1e-12
+            assert abs(math.exp(h.log_total) - bf) < 1e-9
 
     @pytest.mark.parametrize("seed", range(12))
     def test_wider_beam_never_hurts_best_score(self, seed):
@@ -81,25 +83,25 @@ class TestBeam:
         # the narrow beam's winner at a later pruning step.
         rng = np.random.default_rng(200 + seed)
         probs = random_dist(rng, 6, 4)
-        exhaustive = beam_search(probs, 50_000)[0].log_total
+        exhaustive = beam_search(dist_of(probs), 50_000)[0].log_total
         for width in (1, 2, 4, 8, 32):
-            assert exhaustive >= beam_search(probs, width)[0].log_total - 1e-12
+            assert exhaustive >= beam_search(dist_of(probs), width)[0].log_total - 1e-12
 
     def test_determinism(self):
         rng = np.random.default_rng(7)
         probs = random_dist(rng, 5, 4)
-        assert beam_decode(probs, 3) == beam_decode(probs, 3)
+        assert beam_decode(dist_of(probs), 3) == beam_decode(dist_of(probs), 3)
 
     def test_invalid_width(self):
         with pytest.raises(ValueError):
-            beam_decode(np.full((1, 2), 0.5), 0)
+            beam_decode(dist_of(np.full((1, 2), 0.5)), 0)
 
 
 class TestDisagreementExample:
     def test_greedy_misses_the_map_sequence(self):
         probs, alphabet = greedy_beam_disagreement_example()
-        assert alphabet.decode(greedy_decode(probs)) == "oat"
-        assert alphabet.decode(beam_decode(probs, 5)) == "cat"
+        assert alphabet.decode(greedy_decode(dist_of(probs))) == "oat"
+        assert alphabet.decode(beam_decode(dist_of(probs), 5)) == "cat"
         # "cat" carries more posterior mass than the greedy pick
         p_cat = sequence_probability_bruteforce(probs, alphabet.encode("cat"))
         p_oat = sequence_probability_bruteforce(probs, alphabet.encode("oat"))
@@ -129,7 +131,7 @@ class TestLmFusion:
         lm = lm_train(["abc", "cab"], order=2)
         alphabet = Alphabet(("a", "b", "c"))
         width = int(rng.integers(1, 6))
-        assert lm_fused_beam_decode(probs, width, lm, 0.0, alphabet) == beam_decode(probs, width)
+        assert lm_fused_beam_decode(dist_of(probs), width, lm, 0.0, alphabet) == beam_decode(dist_of(probs), width)
 
     def test_alpha_one_follows_the_model(self):
         alphabet = Alphabet(("a", "s", "l"))
@@ -138,9 +140,18 @@ class TestLmFusion:
         probs = np.full((3, 4), 0.25) + rng.normal(0, 1e-3, size=(3, 4))
         probs = np.clip(probs, 1e-4, None)
         probs /= probs.sum(axis=1, keepdims=True)
-        decoded = alphabet.decode(lm_fused_beam_decode(probs, 8, lm, 1.0, alphabet))
+        decoded = alphabet.decode(lm_fused_beam_decode(dist_of(probs), 8, lm, 1.0, alphabet))
         assert "asl".startswith(decoded)
 
     def test_invalid_alpha(self):
         with pytest.raises(ValueError):
-            beam_search(np.full((1, 2), 0.5), 2, lm=lm_train(["a"], 1), alpha=1.5, alphabet=Alphabet(("a",)))
+            beam_search(dist_of(np.full((1, 2), 0.5)), 2, lm=lm_train(["a"], 1), alpha=1.5, alphabet=Alphabet(("a",)))
+
+    def test_decode_rejects_lm_letters_outside_the_alphabet(self):
+        dist = dist_of(np.full((3, 4), 0.25))
+        alphabet = Alphabet(("a", "b", "c"))
+        with pytest.raises(ValueError, match="'xz'"):
+            decode(dist, "beam-lm", 4, lm_train(["abx", "zc"], order=2), 0.2, alphabet)
+        # a model that has seen only some of the letters is fine
+        lm = lm_train(["ab"], order=2)
+        assert decode(dist, "beam-lm", 4, lm, 0.2, alphabet) == lm_fused_beam_decode(dist, 4, lm, 0.2, alphabet)

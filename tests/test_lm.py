@@ -1,6 +1,6 @@
 import pytest
 
-from ctcseq.lm import EOS, CharNGramModel, lm_train, load_lm, save_lm
+from ctcseq.lm import EOS, lm_train, load_lm, save_lm
 
 
 class TestTraining:

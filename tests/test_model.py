@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
 
-from ctcseq import autodiff as ad
-from ctcseq.autodiff import Parameter, Tensor, finite_difference_check, no_grad
+from ctcseq.autodiff import Tensor, finite_difference_check
 from ctcseq.data import normalize
 from ctcseq.losses import combined_loss
 from ctcseq.model import (
-    AttentionRefiner,
-    FeatureExtractor,
     ModelConfig,
     Recognizer,
     apply_attention,
@@ -255,14 +252,16 @@ class TestFullModel:
     def test_logit_shape_contract(self):
         for t in (1, 3, 7):
             model = Recognizer(TOY, seed=0)
-            dist = model.forward(normalize(toy_frames(np.random.default_rng(t), t=t)))
-            assert dist.probs.shape == (t, TOY.num_classes + 1)
+            frames = toy_frames(np.random.default_rng(t), t=t)
+            dist = model.forward(normalize(frames), motion_prior(frames, TOY.feat_grid))
+            assert dist.log_probs.shape == (t, TOY.num_classes + 1)
 
     def test_eval_mode_deterministic(self):
         model = Recognizer(TOY, seed=1)
-        frames = normalize(toy_frames(np.random.default_rng(0), t=4))
-        a = model.forward(frames).probs.data
-        b = model.forward(frames).probs.data
+        raw = toy_frames(np.random.default_rng(0), t=4)
+        frames, priors = normalize(raw), motion_prior(raw, TOY.feat_grid)
+        a = model.forward(frames, priors).log_probs.data
+        b = model.forward(frames, priors).log_probs.data
         assert np.array_equal(a, b)
 
     def test_end_to_end_causality(self):
@@ -282,13 +281,15 @@ class TestFullModel:
 
     def test_row_sums(self):
         model = Recognizer(TOY, seed=5)
-        dist = model.forward(normalize(toy_frames(np.random.default_rng(2))))
-        assert np.allclose(dist.probs.data.sum(axis=1), 1.0, atol=1e-12)
+        frames = toy_frames(np.random.default_rng(2))
+        dist = model.forward(normalize(frames), motion_prior(frames, TOY.feat_grid))
+        assert np.allclose(np.exp(dist.log_probs.data).sum(axis=1), 1.0, atol=1e-12)
 
     def test_training_mode_requires_rng(self):
         model = Recognizer(TOY, seed=0)
+        frames = toy_frames(np.random.default_rng(0))
         with pytest.raises(ValueError):
-            model.forward(normalize(toy_frames(np.random.default_rng(0))), training=True)
+            model.forward(normalize(frames), motion_prior(frames, TOY.feat_grid), training=True)
 
     @pytest.mark.parametrize(
         "group",
@@ -333,12 +334,13 @@ class TestMotionPrior:
 class TestCheckpoints:
     def test_round_trip_bitwise(self, tmp_path):
         model = Recognizer(TOY, seed=9)
-        frames = normalize(toy_frames(np.random.default_rng(1)))
-        before = model.forward(frames).log_probs.data
+        raw = toy_frames(np.random.default_rng(1))
+        frames, priors = normalize(raw), motion_prior(raw, TOY.feat_grid)
+        before = model.forward(frames, priors).log_probs.data
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path, extra={"note": "test"})
         loaded = load_checkpoint(path)
-        after = loaded.forward(frames).log_probs.data
+        after = loaded.forward(frames, priors).log_probs.data
         assert np.array_equal(before, after)
 
     def test_truncated_payload_rejected(self, tmp_path):

@@ -24,7 +24,7 @@ from .decoder import BeamHypothesis, beam_decode, beam_search, greedy_decode, lm
 from .lm import CharNGramModel, lm_train, load_lm, save_lm
 from .losses import LossReport, combined_loss, max_entropy_loss
 from .metrics import EvalReport, edit_alignment, evaluate_clips, letter_accuracy
-from .model import AttentionState, ModelConfig, Recognizer, load_checkpoint, motion_prior, save_checkpoint
+from .model import ModelConfig, Recognizer, load_checkpoint, motion_prior, save_checkpoint
 from .training import AdamW, TrainConfig, TrainResult, ablate, evaluate, train
 
 __version__ = "0.1.0"

@@ -64,9 +64,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __sub__(self, other):
         return sub(self, other)
 
@@ -79,44 +76,17 @@ class Tensor:
     def __rmul__(self, other):
         return mul(other, self)
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
     def __neg__(self):
         return neg(self)
 
     def __pow__(self, p):
         return power(self, p)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         return getitem(self, idx)
 
     def sum(self, axis=None, keepdims=False):
         return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return mean_(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) != 1 or not isinstance(shape[0], (tuple, list)) else shape[0])
-
-    def transpose(self, *axes):
-        return transpose(self, axes if axes else None)
-
-    def exp(self):
-        return exp(self)
-
-    def log(self):
-        return log(self)
-
-    def relu(self):
-        return relu(self)
 
 
 class Parameter(Tensor):
@@ -189,18 +159,6 @@ def mul(a, b) -> Tensor:
         return _reduce_to(g * b.data, a.shape), _reduce_to(g * a.data, b.shape)
 
     return _node(a.data * b.data, (a, b), vjp)
-
-
-def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-
-    def vjp(g):
-        return (
-            _reduce_to(g / b.data, a.shape),
-            _reduce_to(-g * a.data / (b.data * b.data), b.shape),
-        )
-
-    return _node(a.data / b.data, (a, b), vjp)
 
 
 def neg(a) -> Tensor:

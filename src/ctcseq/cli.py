@@ -14,12 +14,13 @@ import sys
 from pathlib import Path
 
 from . import decoder as dec
+from .autodiff import no_grad
 from .config import default_config, load_config, save_config
 from .ctc import Alphabet
-from .data import load_dataset, normalize, read_tensor, save_dataset, synthesize
+from .data import load_dataset, read_tensor, save_dataset, synthesize
 from .lm import lm_train, load_lm, save_lm
-from .model import Recognizer, load_checkpoint, motion_prior
-from .training import ablate, evaluate, train
+from .model import Recognizer, load_checkpoint
+from .training import ablate, evaluate, forward_frames, train
 
 DEFAULT_LETTERS = "abcde"
 
@@ -97,11 +98,8 @@ def _cmd_decode(args) -> int:
         raise ValueError(f"--alphabet has {len(letters.letters)} letters, "
                          f"but the checkpoint has {model.cfg.num_classes}")
     frames = read_tensor(args.clip)
-    if args.priors:
-        priors = read_tensor(args.priors)
-    else:
-        priors = motion_prior(frames, model.cfg.feat_grid)
-    dist = model.forward(normalize(frames), priors=priors)
+    with no_grad():
+        dist = forward_frames(model, frames)
     lm = load_lm(args.lm) if args.lm else None
     pred = dec.decode(dist, args.decoder, args.beam_width, lm, args.alpha, letters)
     print(letters.decode(pred))
@@ -166,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", help="decode a single clip container")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--clip", required=True)
-    p.add_argument("--priors", default=None, help="optional precomputed prior maps (tensor container)")
     p.add_argument("--decoder", choices=dec.DECODERS, default="greedy")
     p.add_argument("--beam-width", type=int, default=20)
     p.add_argument("--lm", default=None)

@@ -29,7 +29,6 @@ _SIGNER_SEED = 0x73_67_6E
 @dataclass(frozen=True)
 class GenConfig:
     frame_size: int = 64
-    channels: int = 3
     min_letters: int = 2
     max_letters: int = 4
     min_frames_per_letter: int = 2
@@ -48,6 +47,8 @@ class GenConfig:
     def __post_init__(self):
         if self.min_letters < 1 or self.max_letters < self.min_letters:
             raise ValueError("invalid letters-per-clip range")
+        if self.glyph_cells < 1:
+            raise ValueError("glyph_cells must be >= 1")
         if self.min_frames_per_letter < 2:
             raise ValueError("each letter must be rendered for at least 2 frames")
         if not 0.0 <= self.left_handed_rate <= 1.0:
@@ -58,7 +59,7 @@ class GenConfig:
 
 @dataclass
 class SyntheticClip:
-    frames: np.ndarray  # (T, channels, S, S), values in [0, 1]
+    frames: np.ndarray  # (T, 3, S, S) RGB, values in [0, 1]
     target: tuple[int, ...]
     signer_id: int
     handedness: str  # "left" | "right"
@@ -91,7 +92,7 @@ def _glyph(letter_index: int, cfg: GenConfig) -> tuple[np.ndarray, np.ndarray]:
     return pattern, tint
 
 
-def _signer_profile(seed: int, signer_id: int, cfg: GenConfig) -> dict:
+def _signer_profile(seed: int, signer_id: int) -> dict:
     rng = np.random.default_rng([_SIGNER_SEED, seed, signer_id])
     return {
         "scale": int(rng.integers(5, 8)),
@@ -117,7 +118,7 @@ def _paste(canvas: np.ndarray, block: np.ndarray, tint: np.ndarray, x: int, y: i
 def _render_clip(seed: int, clip_index: int, target: tuple[int, ...], signer_id: int,
                  left_handed: bool, cfg: GenConfig) -> np.ndarray:
     rng = np.random.default_rng([seed, clip_index])
-    profile = _signer_profile(seed, signer_id, cfg)
+    profile = _signer_profile(seed, signer_id)
     s = cfg.frame_size
     scale = profile["scale"]
 
@@ -136,7 +137,7 @@ def _render_clip(seed: int, clip_index: int, target: tuple[int, ...], signer_id:
             schedule.extend((i, i + 1, 0.5) for _ in range(cfg.transition_frames))
 
     t_total = len(schedule)
-    frames = np.zeros((t_total, cfg.channels, s, s))
+    frames = np.zeros((t_total, 3, s, s))
     x = profile["base_x"] * s
     y = profile["base_y"] * s
     dx = float(rng.uniform(-cfg.position_jitter, cfg.position_jitter))

@@ -38,7 +38,6 @@ class LossReport:
     ctc: float
     mel: float
     total: float
-    mel_weight: float
     feasible: bool
     node: Tensor | None
 
@@ -58,7 +57,6 @@ def combined_loss(dist: FrameDistributionSeq, target, mel_weight: float) -> Loss
             ctc=float("inf"),
             mel=mel.item(),
             total=float("inf"),
-            mel_weight=mel_weight,
             feasible=False,
             node=None,
         )
@@ -67,7 +65,6 @@ def combined_loss(dist: FrameDistributionSeq, target, mel_weight: float) -> Loss
         ctc=ctc_res.loss.item(),
         mel=mel.item(),
         total=total.item(),
-        mel_weight=mel_weight,
         feasible=True,
         node=total,
     )

@@ -49,6 +49,9 @@ class ModelConfig:
     def __post_init__(self):
         object.__setattr__(self, "feat_grid", tuple(self.feat_grid))
         object.__setattr__(self, "pooled_grid", tuple(self.pooled_grid))
+        if min(self.feat_channels, self.embed_dim, self.heads, self.ffn_hidden,
+               *self.feat_grid, *self.pooled_grid) < 1:
+            raise ValueError("feat_channels, embed_dim, heads, ffn_hidden and the grids must be >= 1")
         if self.embed_dim % self.heads != 0:
             raise ValueError(f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
         if any(p > f for p, f in zip(self.pooled_grid, self.feat_grid)):
@@ -57,17 +60,6 @@ class ModelConfig:
             raise ValueError("context_window must be >= 0")
         if self.num_classes < 1:
             raise ValueError("need at least one letter class")
-
-
-@dataclass
-class AttentionState:
-    """Intermediate attention tensors exposed for inspection and tests."""
-
-    raw_maps: np.ndarray
-    refined_maps: np.ndarray
-    priors: np.ndarray
-    blend_weight: float
-    final_maps: np.ndarray
 
 
 class Module:
@@ -91,10 +83,10 @@ class Module:
 
 class Linear(Module):
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
-                 bias: bool = True, scale: float | None = None):
+                 scale: float | None = None):
         std = scale if scale is not None else 1.0 / math.sqrt(in_dim)
         self.weight = Parameter(rng.normal(0.0, std, size=(in_dim, out_dim)))
-        self.bias = Parameter(np.zeros(out_dim)) if bias else None
+        self.bias = Parameter(np.zeros(out_dim))
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.linear(x, self.weight, self.bias)
@@ -172,11 +164,11 @@ def adaptive_pool(x: Tensor, out_grid: tuple[int, int]) -> Tensor:
 
 
 class FeatureExtractor(Module):
-    """Four-layer strided conv stack emitting D x H x W maps per frame."""
+    """Four-layer strided conv stack mapping RGB frames to D x H x W maps."""
 
-    def __init__(self, cfg: ModelConfig, channels: int, rng: np.random.Generator):
+    def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         d = cfg.feat_channels
-        self.conv1 = Conv2d(channels, d, rng, stride=2)
+        self.conv1 = Conv2d(3, d, rng, stride=2)
         self.conv2 = Conv2d(d, d, rng, stride=2)
         self.conv3 = Conv2d(d, d, rng, stride=1)
         self.conv4 = Conv2d(d, d, rng, stride=1)
@@ -285,11 +277,10 @@ class EncoderLayer(Module):
 class Recognizer(Module):
     """End-to-end network mapping frames to per-frame class distributions."""
 
-    def __init__(self, cfg: ModelConfig, seed: int = 0, channels: int = 3):
+    def __init__(self, cfg: ModelConfig, seed: int = 0):
         rng = np.random.default_rng([0x6D6F64, seed])
         self.cfg = cfg
-        self.channels = channels
-        self.extractor = FeatureExtractor(cfg, channels, rng)
+        self.extractor = FeatureExtractor(cfg, rng)
         self.spatial = SpatialAttention(cfg, rng)
         self.refiner = AttentionRefiner(cfg, rng)
         self.blend_raw = Parameter(np.zeros(()), name="blend_raw")
@@ -331,9 +322,8 @@ class Recognizer(Module):
         priors: np.ndarray,
         training: bool = False,
         rng: np.random.Generator | None = None,
-        return_state: bool = False,
-    ):
-        """Run the network on one normalized clip (T, channels, H, W) and
+    ) -> FrameDistributionSeq:
+        """Run the network on one normalized RGB clip (T, 3, H, W) and
         return its per-frame log-probabilities as a ``FrameDistributionSeq``.
 
         ``priors`` are per-frame attention prior maps summing to 1, as
@@ -355,17 +345,7 @@ class Recognizer(Module):
         embeddings = self.embed(ad.reshape(pooled, (pooled.shape[0], -1)))
         encoded = self.encode(embeddings, training, rng)
         logits = self.classifier(encoded) * self.cfg.logit_scale
-        dist = FrameDistributionSeq(ad.log_softmax(logits, axis=-1))
-        if not return_state:
-            return dist
-        state = AttentionState(
-            raw_maps=raw.data.copy(),
-            refined_maps=refined.data.copy(),
-            priors=np.asarray(priors).copy(),
-            blend_weight=self.blend_weight().item(),
-            final_maps=final_maps.data.copy(),
-        )
-        return dist, state
+        return FrameDistributionSeq(ad.log_softmax(logits, axis=-1))
 
 
 def apply_attention(features: Tensor, maps: Tensor) -> Tensor:
@@ -419,7 +399,6 @@ def save_checkpoint(model: Recognizer, path, extra: dict | None = None) -> None:
     manifest = {
         "version": CKPT_VERSION,
         "model_config": asdict(model.cfg),
-        "channels": model.channels,
         "params": entries,
         "payload_bytes": offset,
     }
@@ -446,18 +425,27 @@ def load_checkpoint(path) -> Recognizer:
         (mlen,) = struct.unpack("<Q", read_exact(fh, 8, path))
         manifest = json.loads(read_exact(fh, mlen, path).decode("utf-8"))
         payload = fh.read()
+    if not isinstance(manifest, dict) or not {"model_config", "params", "payload_bytes"} <= manifest.keys():
+        raise ValueError(f"malformed checkpoint manifest in {path}: "
+                         "expected an object with model_config, params and payload_bytes")
     if manifest.get("version") != CKPT_VERSION:
         raise ValueError(f"unsupported checkpoint version: {manifest.get('version')}")
     if len(payload) != manifest["payload_bytes"]:
         raise ValueError(
             f"checkpoint payload truncated in {path}: {len(payload)} != {manifest['payload_bytes']} bytes"
         )
-    cfg = ModelConfig(**manifest["model_config"])
-    model = Recognizer(cfg, seed=0, channels=manifest.get("channels", 3))
+    try:
+        cfg = ModelConfig(**manifest["model_config"])
+    except TypeError as exc:
+        raise ValueError(f"malformed model_config in checkpoint {path}: {exc}") from None
+    model = Recognizer(cfg, seed=0)
     params = model.named_parameters()
     seen = set()
     for entry in manifest["params"]:
-        name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
+        try:
+            name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
+        except (KeyError, TypeError):
+            raise ValueError(f"malformed parameter entry in checkpoint {path}: {entry!r}") from None
         if name not in params:
             raise ValueError(f"checkpoint parameter {name!r} not present in model")
         p = params[name]

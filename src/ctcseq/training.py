@@ -131,10 +131,11 @@ class TrainResult:
     skipped_clips: int
 
 
-def _forward_clip(model: Recognizer, clip: SyntheticClip, training: bool, rng=None):
-    priors = motion_prior(clip.frames, model.cfg.feat_grid)
-    frames = normalize(clip.frames)
-    return model.forward(frames, priors=priors, training=training, rng=rng)
+def forward_frames(model: Recognizer, frames, training: bool = False, rng=None):
+    """Run ``model`` on raw RGB frames (T, 3, H, W) in [0, 1]: the motion
+    prior comes from the raw frames, the network reads them normalized."""
+    priors = motion_prior(frames, model.cfg.feat_grid)
+    return model.forward(normalize(frames), priors=priors, training=training, rng=rng)
 
 
 def evaluate(model: Recognizer, clips: list[SyntheticClip], decoder: str = "greedy",
@@ -144,7 +145,7 @@ def evaluate(model: Recognizer, clips: list[SyntheticClip], decoder: str = "gree
     results = []
     with no_grad():
         for i, clip in enumerate(clips):
-            dist = _forward_clip(model, clip, training=False)
+            dist = forward_frames(model, clip.frames)
             pred = dec.decode(dist, decoder, beam_width, lm, alpha, alphabet)
             results.append((f"{prefix}_{i:05d}", pred, list(clip.target)))
     return evaluate_clips(results)
@@ -186,7 +187,7 @@ def train(model: Recognizer, split: DatasetSplit, cfg: TrainConfig,
                 clip = split.train[int(j)]
                 if rng.random() < cfg.flip_prob:
                     clip = horizontal_flip(clip)
-                dist = _forward_clip(model, clip, training=True, rng=rng)
+                dist = forward_frames(model, clip.frames, training=True, rng=rng)
                 report = combined_loss(dist, clip.target, cfg.mel_weight)
                 batch_info.append((int(j), clip, report))
                 if not report.feasible:

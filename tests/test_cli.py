@@ -115,6 +115,20 @@ class TestPipeline:
         printed = capsys.readouterr().out.strip()
         assert set(printed) <= set("abcde")
 
+    def test_ablate_prints_and_writes_the_table(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "one_epoch.ini"
+        cfg.write_text(FAST_CONFIG.replace("epochs = 2", "epochs = 1"))
+        out = tmp_path / "abl"
+        assert main(["ablate", "--data", str(workspace / "data"), "--config", str(cfg),
+                     "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        header, *rows = printed.splitlines()
+        assert header.split() == ["setting", "greedy", "beam", "beam-lm"]
+        assert [row.split()[0] for row in rows] == ["ctc", "ctc+mel", "ctc+flip", "ctc+mel+flip"]
+        assert all(len(row.split()) == 4 for row in rows)
+        assert (out / "ablation.txt").read_text() == printed
+        assert "epochs = 1" in (out / "config.resolved.ini").read_text()
+
     def test_eval_beam_lm(self, workspace, tmp_path, capsys):
         data, ckpt = workspace / "data", workspace / "run" / "best.ckpt"
         corpus = tmp_path / "corpus.txt"
@@ -175,6 +189,14 @@ class TestErrors:
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
         assert "xyz" in err
 
+    def test_decode_malformed_checkpoint_manifest(self, decode_files, capsys):
+        ckpt = Path(decode_files[2])
+        ckpt.write_bytes(b"CTSQCKPT" + (2).to_bytes(8, "little") + b"[]")
+        assert main(decode_files) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert "m.ckpt" in err
+
     def test_decode_truncated_clip(self, decode_files, capsys):
         clip = Path(decode_files[-1])
         clip.write_bytes(clip.read_bytes()[:22])
@@ -203,4 +225,23 @@ class TestErrors:
         code = main(["synth", "--seed", "1", "--n-clips", "2",
                      "--out", str(tmp_path / "o"), "--config", str(cfg)])
         assert code == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("section, line, message", [
+        ("model", "heads = 0", ">= 1"),
+        ("model", "feat_channels = 0", ">= 1"),
+        ("model", "embed_dim = 0", ">= 1"),
+        ("model", "ffn_hidden = 0", ">= 1"),
+        ("model", "pooled_grid = 0,0", ">= 1"),
+        ("data", "glyph_cells = 0", ">= 1"),
+        ("data", "channels = 4", "unknown config key"),
+    ])
+    def test_bad_config_is_one_error_line(self, tmp_path, capsys, section, line, message):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[{section}]\n{line}\n")
+        code = main(["synth", "--seed", "1", "--n-clips", "2",
+                     "--out", str(tmp_path / "o"), "--config", str(cfg)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and message in err
         assert not (tmp_path / "o").exists()

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -373,3 +375,20 @@ class TestCheckpoints:
             path.write_bytes(raw[:cut])
             with pytest.raises(ValueError, match="cut.ckpt"):
                 load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda m: [m],
+        lambda m: {k: v for k, v in m.items() if k != "payload_bytes"},
+        lambda m: {k: v for k, v in m.items() if k != "params"},
+        lambda m: {**m, "model_config": {**m["model_config"], "channels": 3}},
+        lambda m: {**m, "params": [{"name": "blend_raw"}, *m["params"][1:]]},
+    ], ids=["not-an-object", "no-payload-bytes", "no-params", "unknown-config-key", "entry-without-shape"])
+    def test_malformed_manifest_rejected_naming_the_file(self, tmp_path, edit):
+        path = tmp_path / "odd.ckpt"
+        save_checkpoint(Recognizer(TOY, seed=0), path)
+        raw = path.read_bytes()
+        end = 16 + int.from_bytes(raw[8:16], "little")
+        mbytes = json.dumps(edit(json.loads(raw[16:end]))).encode("utf-8")
+        path.write_bytes(raw[:8] + len(mbytes).to_bytes(8, "little") + mbytes + raw[end:])
+        with pytest.raises(ValueError, match="odd.ckpt"):
+            load_checkpoint(path)

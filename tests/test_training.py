@@ -11,10 +11,10 @@ from ctcseq.training import (
     AdamW,
     TrainConfig,
     TrainingDiverged,
-    _forward_clip,
     ablate,
     clip_grad_norm,
     evaluate,
+    forward_frames,
     train,
 )
 
@@ -168,7 +168,7 @@ class TestTrainLoop:
         opt = AdamW(model.parameters(), lr=3e-3)
         losses = []
         for _ in range(120):
-            dist = _forward_clip(model, clip, training=False)
+            dist = forward_frames(model, clip.frames)
             report = combined_loss(dist, clip.target, 0.0)
             losses.append(report.total)
             backward(report.node)
@@ -178,7 +178,7 @@ class TestTrainLoop:
         smooth = np.convolve(losses, np.ones(20) / 20, mode="valid")
         assert np.all(np.diff(smooth) < 1e-3)
         assert smooth[-1] < smooth[0] * 0.5
-        dist = _forward_clip(model, clip, training=False)
+        dist = forward_frames(model, clip.frames)
         assert greedy_decode(dist) == list(clip.target)
 
 

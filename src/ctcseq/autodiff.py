@@ -7,7 +7,9 @@ vector-Jacobian rule, and ``finite_difference_check`` is the oracle used
 to verify every one of them.
 
 Gradients accumulate into ``Parameter.grad`` across backward calls until
-explicitly zeroed, so per-batch accumulation falls out for free.
+explicitly zeroed, so per-batch accumulation falls out for free. A
+parameter's gradient buffer exists only once a backward has reached it:
+``None`` stands for a zero gradient.
 """
 from __future__ import annotations
 
@@ -90,17 +92,17 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A leaf tensor updated by the optimizer; grad starts at zeros."""
+    """A leaf tensor updated by the optimizer; grad is None (zero) until a
+    backward reaches it."""
 
     __slots__ = ("name",)
 
     def __init__(self, data, name: str = ""):
         super().__init__(data, requires_grad=True)
-        self.grad = np.zeros_like(self.data)
         self.name = name
 
     def zero_grad(self):
-        self.grad[...] = 0.0
+        self.grad = None
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.data.shape})"
@@ -476,7 +478,7 @@ def finite_difference_check(f, p: Parameter, h: float = 1e-5) -> float:
     p.zero_grad()
     out = f()
     backward(out)
-    analytic = p.grad.copy()
+    analytic = np.zeros_like(p.data) if p.grad is None else p.grad.copy()
 
     max_err = 0.0
     flat = p.data.reshape(-1)

@@ -47,10 +47,16 @@ class GenConfig:
     def __post_init__(self):
         if self.min_letters < 1 or self.max_letters < self.min_letters:
             raise ValueError("invalid letters-per-clip range")
-        if self.glyph_cells < 1:
-            raise ValueError("glyph_cells must be >= 1")
+        for key in ("frame_size", "glyph_cells", "n_signers"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1: {getattr(self, key)}")
+        if self.transition_frames < 0:
+            raise ValueError(f"transition_frames must be >= 0: {self.transition_frames}")
         if self.min_frames_per_letter < 2:
             raise ValueError("each letter must be rendered for at least 2 frames")
+        if self.max_frames_per_letter < self.min_frames_per_letter:
+            raise ValueError(f"max_frames_per_letter must be >= min_frames_per_letter "
+                             f"({self.min_frames_per_letter}): {self.max_frames_per_letter}")
         if not 0.0 <= self.left_handed_rate <= 1.0:
             raise ValueError("left_handed_rate must be in [0, 1]")
         if not 0.0 < self.train_fraction + self.dev_fraction < 1.0:
@@ -178,6 +184,10 @@ def synthesize(seed: int, n_clips: int, alphabet: Alphabet, cfg: GenConfig | Non
     cfg = cfg or GenConfig()
     if len(alphabet.letters) < 2:
         raise ValueError("synthesis needs an alphabet of at least 2 letters")
+    stray = sorted(set("".join(cfg.words)) - set(alphabet.letters))
+    if stray:
+        raise ValueError(f"words use letters {''.join(stray)!r} that are not in the alphabet "
+                         f"{''.join(alphabet.letters)!r}")
 
     n_train = int(round(cfg.train_fraction * n_clips))
     n_dev = int(round(cfg.dev_fraction * n_clips))
@@ -191,7 +201,7 @@ def synthesize(seed: int, n_clips: int, alphabet: Alphabet, cfg: GenConfig | Non
     s_dev = min(s_dev, cfg.n_signers - s_train - 1) if cfg.n_signers - s_train > 1 else 1
     partition_signers = {
         "train": signer_ids[:s_train],
-        "dev": signer_ids[s_train : s_train + s_dev],
+        "dev": signer_ids[s_train : s_train + s_dev] or signer_ids[-1:],
         "test": signer_ids[s_train + s_dev :] or signer_ids[-1:],
     }
     if not cfg.signer_disjoint:

@@ -45,39 +45,6 @@ def greedy_decode(dist) -> list[int]:
     return collapse(path.tolist(), dist.blank_index)
 
 
-def _expand_step(beams: dict, lp: np.ndarray, blank: int) -> dict:
-    """One time step of prefix beam search.
-
-    Returns prefix -> [logp_blank, logp_nonblank, extended_this_step].
-    """
-    nxt: dict[tuple[int, ...], list] = {}
-    for prefix, (pb, pnb) in beams.items():
-        total = np.logaddexp(pb, pnb)
-        entry = nxt.setdefault(prefix, [NEG_INF, NEG_INF, False])
-        # blank keeps the prefix and moves all mass to the blank bucket
-        entry[0] = np.logaddexp(entry[0], total + lp[blank])
-        if prefix:
-            # same letter again extends the current run, prefix unchanged
-            entry[1] = np.logaddexp(entry[1], pnb + lp[prefix[-1]])
-        for letter in range(blank):
-            base = pb if (prefix and letter == prefix[-1]) else total
-            if base == NEG_INF:
-                continue
-            mass = base + lp[letter]
-            if mass == NEG_INF:
-                continue
-            grown = nxt.setdefault(prefix + (letter,), [NEG_INF, NEG_INF, False])
-            grown[1] = np.logaddexp(grown[1], mass)
-            grown[2] = True
-    return {k: v for k, v in nxt.items() if np.logaddexp(v[0], v[1]) > NEG_INF}
-
-
-def _letters_of(prefix: tuple[int, ...], alphabet: Alphabet | None) -> str:
-    if alphabet is None:
-        raise ValueError("language-model fusion requires the alphabet")
-    return alphabet.decode(prefix)
-
-
 def beam_search(
     dist,
     beam_width: int,
@@ -94,61 +61,84 @@ def beam_search(
     where s_b is the prefix's posterior mass normalized over the current
     candidate set; retention is otherwise identical. At finalization the
     language model contributes its end-of-sequence probability once.
+
+    A frame is a few array steps on a beams x (1 + letters) matrix: column
+    0 keeps the prefix (blank, or its last letter again), column 1 + l
+    appends letter l. An extension equal to a beam merges into the first
+    of the two cells in row-major order, the order the normalizer is
+    reduced in. The language model gives one row per context.
     """
     if beam_width < 1:
         raise ValueError(f"beam width must be >= 1: {beam_width}")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"language model weight must be in [0, 1]: {alpha}")
-    logp = dist.log_probs.data
-    blank = dist.blank_index
+    lm = lm if alpha > 0.0 else None
+    if lm is not None and alphabet is None:
+        raise ValueError("language-model fusion requires the alphabet")
+    blank, width = dist.blank_index, dist.blank_index + 1
+    rows: dict[tuple[int, ...], np.ndarray] = {}  # LM rows by context letters
 
-    beams: dict[tuple[int, ...], tuple[float, float]] = {(): (0.0, NEG_INF)}
-    for t in range(dist.num_frames):
-        candidates = _expand_step(beams, logp[t], blank)
-        scored = _score_candidates(candidates, lm, alpha, alphabet)
-        scored.sort(key=lambda item: (-item[0], item[1]))
-        kept = scored[:beam_width]
-        beams = {prefix: (pb, pnb) for _, prefix, pb, pnb in kept}
+    beams: list[tuple[int, ...]] = [()]
+    pb, pnb = np.zeros(1), np.full(1, NEG_INF)
+    for lp in dist.log_probs.data:
+        total = np.logaddexp(pb, pnb)
+        cand_b = np.full((len(beams), width), NEG_INF)
+        cand_b[:, 0] = total + lp[blank]
+        cand_nb = np.full_like(cand_b, NEG_INF)
+        cand_nb[:, 1:] = total[:, None] + lp[:blank]
+        # the last letter again: a repeat after a letter, a new one after a blank
+        run = np.array([i for i, p in enumerate(beams) if p], dtype=int)
+        letter = np.array([beams[i][-1] for i in run], dtype=int)
+        cand_nb[run, 0] = pnb[run] + lp[letter]
+        cand_nb[run, 1 + letter] = pb[run] + lp[letter]
+        lm_p = np.full_like(cand_b, -1.0)  # P(letter | context) where a letter was appended
+        if lm is not None:
+            for i, p in enumerate(beams):
+                if p[-lm.order:] not in rows:
+                    rows[p[-lm.order:]] = lm.cond_probs(alphabet.letters, alphabet.decode(p[-lm.order:]))
+                lm_p[i, 1:] = rows[p[-lm.order:]]
+        index = {p: i for i, p in enumerate(beams)}
+        for j, p in enumerate(beams):
+            i = index.get(p[:-1]) if p else None
+            if i is None or cand_nb[i, 1 + p[-1]] == NEG_INF:
+                continue
+            col = 1 + p[-1]
+            if j < i:  # beam j's cell comes first and takes the extension
+                cand_nb[j, 0] = np.logaddexp(cand_nb[j, 0], cand_nb[i, col])
+                cand_nb[i, col] = NEG_INF
+                lm_p[j, 0] = lm_p[i, col]
+            else:  # the extension's cell comes first and takes beam j
+                cand_nb[i, col] = np.logaddexp(cand_nb[j, 0], cand_nb[i, col])
+                cand_b[i, col] = cand_b[j, 0]
+                cand_b[j, 0] = cand_nb[j, 0] = NEG_INF
+        score = np.logaddexp(cand_b, cand_nb).ravel()
+        if lm is not None:
+            # math.exp: np.exp differs from it in the last bit on some inputs
+            s_b = np.array([math.exp(x) for x in (score - np.logaddexp.reduce(score)).tolist()])
+            fused = lm_p.ravel() >= 0.0
+            s_b[fused] = (1.0 - alpha) * s_b[fused] + alpha * lm_p.ravel()[fused]
+            score = np.where(score > NEG_INF, s_b, NEG_INF)
+        k = min(beam_width, int(np.count_nonzero(score > NEG_INF)))
+        picked = np.flatnonzero(score >= np.partition(score, score.size - k)[score.size - k])
+        kept = sorted(  # (-score, prefix, cell) at or above the k-th best score
+            (-s, beams[f // width] + ((f % width - 1,) if f % width else ()), f)
+            for s, f in zip(score[picked].tolist(), picked.tolist())
+        )[:beam_width]
+        cells = [f for *_, f in kept]
+        beams, pb, pnb = [p for _, p, _ in kept], cand_b.ravel()[cells], cand_nb.ravel()[cells]
 
-    return _finalize(beams, lm, alpha, alphabet)
+    return _finalize(beams, pb, pnb, lm, alpha, alphabet)
 
 
-def _score_candidates(candidates: dict, lm, alpha: float, alphabet) -> list:
-    totals = {p: np.logaddexp(v[0], v[1]) for p, v in candidates.items()}
-    if lm is None or alpha == 0.0:
-        return [(totals[p], p, v[0], v[1]) for p, v in candidates.items()]
-    norm = np.logaddexp.reduce(np.array(list(totals.values())))
-    out = []
-    for prefix, (pb, pnb, extended) in candidates.items():
-        s_b = math.exp(totals[prefix] - norm)
-        if extended and prefix:
-            context = _letters_of(prefix[:-1], alphabet)
-            p_lm = lm.cond_prob(_letters_of(prefix[-1:], alphabet), context)
-            score = (1.0 - alpha) * s_b + alpha * p_lm
-        else:
-            score = s_b
-        out.append((score, prefix, pb, pnb))
-    return out
-
-
-def _finalize(beams: dict, lm, alpha: float, alphabet) -> list[BeamHypothesis]:
-    if not beams:
-        return [BeamHypothesis((), 0.0, NEG_INF, 0.0)]
-    totals = {p: np.logaddexp(pb, pnb) for p, (pb, pnb) in beams.items()}
-    if lm is None or alpha == 0.0:
-        items = [(totals[p], p) for p in beams]
-    else:
-        norm = np.logaddexp.reduce(np.array(list(totals.values())))
-        items = []
-        for prefix in beams:
-            s_b = math.exp(totals[prefix] - norm)
-            p_end = lm.cond_prob(EOS, _letters_of(prefix, alphabet))
-            items.append(((1.0 - alpha) * s_b + alpha * p_end, prefix))
-    items.sort(key=lambda item: (-item[0], item[1]))
-    return [
-        BeamHypothesis(prefix, beams[prefix][0], beams[prefix][1], score)
-        for score, prefix in items
-    ]
+def _finalize(beams, pb, pnb, lm, alpha: float, alphabet) -> list[BeamHypothesis]:
+    totals = np.logaddexp(pb, pnb)
+    scores = totals.tolist()
+    if lm is not None:
+        norm = np.logaddexp.reduce(totals)
+        scores = [(1.0 - alpha) * math.exp(t - norm) + alpha * lm.cond_prob(EOS, alphabet.decode(p))
+                  for t, p in zip(scores, beams)]
+    order = sorted(range(len(beams)), key=lambda i: (-scores[i], beams[i]))
+    return [BeamHypothesis(beams[i], float(pb[i]), float(pnb[i]), scores[i]) for i in order]
 
 
 def beam_decode(dist, beam_width: int) -> list[int]:

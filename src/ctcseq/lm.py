@@ -11,6 +11,8 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 EOS = "</s>"
 
 EMPTY_CONTEXT = "·"  # placeholder for the empty context in files
@@ -49,11 +51,18 @@ class CharNGramModel:
         table. ``symbol`` may be a letter or the end marker.
         """
         ctx = self._backoff_context(context)
+        return self._smoothed(self.counts.get(ctx, {}).get(symbol, 0), ctx)
+
+    def cond_probs(self, symbols, context: str) -> np.ndarray:
+        """``cond_prob(s, context)`` for each of ``symbols``, bit for bit,
+        as one float64 row."""
+        ctx = self._backoff_context(context)
         nexts = self.counts.get(ctx, {})
+        return self._smoothed(np.array([nexts.get(s, 0) for s in symbols], dtype=np.float64), ctx)
+
+    def _smoothed(self, count, ctx: str):
         total = self._totals.get(ctx, 0)
-        v = len(self.vocab)
-        count = nexts.get(symbol, 0)
-        return (count + self.smoothing_alpha) / (total + self.smoothing_alpha * v)
+        return (count + self.smoothing_alpha) / (total + self.smoothing_alpha * len(self.vocab))
 
 
 def lm_train(corpus: list[str], order: int, smoothing_alpha: float = 1.0) -> CharNGramModel:

@@ -64,7 +64,7 @@ class AdamW:
     """Adam with bias correction and decoupled weight decay.
 
     With a zero gradient the update reduces to p *= 1 - lr * weight_decay
-    exactly.
+    exactly. A ``None`` gradient counts as zero.
     """
 
     def __init__(self, params: list[Parameter], lr: float, betas=(0.9, 0.999),
@@ -85,7 +85,7 @@ class AdamW:
         c1 = 1.0 - self.beta1**self.t
         c2 = 1.0 - self.beta2**self.t
         for p, m, v in zip(self.params, self._m, self._v):
-            g = p.grad
+            g = 0.0 if p.grad is None else p.grad
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2
@@ -99,11 +99,12 @@ class AdamW:
 
 
 def clip_grad_norm(params: list[Parameter], max_norm: float) -> float:
-    total = math.sqrt(sum(float((p.grad * p.grad).sum()) for p in params))
+    grads = [p.grad for p in params if p.grad is not None]
+    total = math.sqrt(sum(float((g * g).sum()) for g in grads))
     if max_norm > 0 and total > max_norm:
         scale = max_norm / total
-        for p in params:
-            p.grad *= scale
+        for g in grads:
+            g *= scale
     return total
 
 

@@ -118,6 +118,15 @@ class TestBackward:
         backward((w * w * w).sum())
         assert np.array_equal(w.grad, 2.0 * once)
 
+    def test_gradient_buffer_exists_only_after_a_backward(self):
+        w = Parameter(np.ones(3))
+        unused = Parameter(np.ones(2))
+        assert w.grad is None
+        backward((w * 2.0).sum())
+        assert np.array_equal(w.grad, np.full(3, 2.0)) and unused.grad is None
+        w.zero_grad()
+        assert w.grad is None
+
     def test_non_scalar_rejected(self):
         w = Parameter(np.zeros(3))
         with pytest.raises(ValueError):

@@ -234,6 +234,11 @@ class TestErrors:
         ("model", "ffn_hidden = 0", ">= 1"),
         ("model", "pooled_grid = 0,0", ">= 1"),
         ("data", "glyph_cells = 0", ">= 1"),
+        ("data", "frame_size = 0", "frame_size must be >= 1"),
+        ("data", "transition_frames = -1", "transition_frames must be >= 0"),
+        ("data", "n_signers = 0", "n_signers must be >= 1"),
+        ("data", "max_frames_per_letter = 1", "max_frames_per_letter must be >="),
+        ("data", "words = xyz", "words use letters 'xyz'"),
         ("data", "channels = 4", "unknown config key"),
     ])
     def test_bad_config_is_one_error_line(self, tmp_path, capsys, section, line, message):

@@ -42,6 +42,11 @@ class TestSynthesize:
         assert not (seen["train"] & seen["test"])
         assert not (seen["dev"] & seen["test"])
 
+    def test_one_signer_fills_every_partition(self):
+        split = synthesize(3, 12, ALPHABET, small_cfg(n_signers=1))
+        assert [len(c) for c in split.partitions().values()] == [8, 2, 2]
+        assert {c.signer_id for c in split.train + split.dev + split.test} == {0}
+
     def test_split_sizes(self):
         split = synthesize(0, 100, ALPHABET, small_cfg())
         assert len(split.train) == 70

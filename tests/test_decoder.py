@@ -1,7 +1,10 @@
 import math
+import string
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ctcseq.ctc import Alphabet, collapse_partition, sequence_probability_bruteforce
 from ctcseq.decoder import (
@@ -11,9 +14,9 @@ from ctcseq.decoder import (
     greedy_beam_disagreement_example,
     greedy_decode,
     lm_fused_beam_decode,
-    _score_candidates,
 )
 from ctcseq.lm import lm_train
+from beam_reference import reference_beam_search
 from conftest import dist_of
 
 
@@ -110,19 +113,30 @@ class TestDisagreementExample:
 
 class TestLmFusion:
     def test_score_formula_direct_substitution(self):
-        # two candidates with equal mass: each has s_b = 0.5; the language
-        # model assigns the extension probability 0.25
+        # one frame with P(a) = 0 leaves two candidates: () continues with
+        # score s_b = x, the blank mass, and "b" is extended now with score
+        # (1 - 0.2) * (1 - x) + 0.2 * 0.25, the language model giving the
+        # extension 0.25. At x = 0.5 they score 0.5 and 0.45; they tie at x = tie.
         lm = lm_train(["a"], order=1, smoothing_alpha=1.0)
         assert lm.cond_prob("b", "") == pytest.approx(0.25)
         alphabet = Alphabet(("a", "b"))
-        half = math.log(0.3)
-        candidates = {
-            (1,): [half, float("-inf"), True],   # letter "b", extended now
-            (0,): [half, float("-inf"), False],  # letter "a", continuation
-        }
-        scored = {p: s for s, p, _, _ in _score_candidates(candidates, lm, 0.2, alphabet)}
-        assert scored[(1,)] == pytest.approx((1 - 0.2) * 0.5 + 0.2 * 0.25, abs=1e-12)
-        assert scored[(0,)] == pytest.approx(0.5, abs=1e-12)
+        tie = ((1 - 0.2) + 0.2 * 0.25) / (2 - 0.2)
+        for blank, kept in ((0.5, ()), (tie + 1e-9, ()), (tie - 1e-9, (1,))):
+            probs = np.array([[0.0, 1.0 - blank, blank]])
+            hyps = beam_search(dist_of(probs), 1, lm=lm, alpha=0.2, alphabet=alphabet)
+            assert [h.prefix for h in hyps] == [kept]
+            # the lone survivor has s_b = 1; P(end | "" or "b") = 0.5
+            assert hyps[0].score == pytest.approx((1 - 0.2) * 1.0 + 0.2 * 0.5, abs=1e-12)
+        both = beam_search(dist_of(np.array([[0.0, 0.5, 0.5]])), 2, lm=lm, alpha=0.2, alphabet=alphabet)
+        assert [h.prefix for h in both] == [(), (1,)]
+
+    def test_missing_alphabet_fails_before_the_first_frame(self):
+        lm = lm_train(["ab"], order=2)
+        for t in (0, 3):
+            with pytest.raises(ValueError, match="requires the alphabet"):
+                beam_search(dist_of(np.full((t, 3), 1 / 3)), 2, lm=lm, alpha=0.2)
+        # alpha = 0 never consults the model
+        assert beam_search(dist_of(np.full((0, 3), 1 / 3)), 2, lm=lm, alpha=0.0)[0].prefix == ()
 
     @pytest.mark.parametrize("seed", range(20))
     def test_alpha_zero_identical_to_plain_beam(self, seed):
@@ -155,3 +169,58 @@ class TestLmFusion:
         # a model that has seen only some of the letters is fine
         lm = lm_train(["ab"], order=2)
         assert decode(dist, "beam-lm", 4, lm, 0.2, alphabet) == lm_fused_beam_decode(dist, 4, lm, 0.2, alphabet)
+
+
+def oracle_case(seed, t, letters, kind, order, alpha):
+    """A (dist, lm, alpha, alphabet) case for the reference comparison. Rows
+    are dense, have zero entries (-inf log-probabilities), are one-hot, or
+    hold small integer weights ("ties"), whose exact ties make the pruning
+    depend on the last bit of every score. ``alpha`` None means no LM."""
+    rng = np.random.default_rng(seed)
+    probs = rng.random((t, letters + 1)) ** rng.choice([1, 4, 12])
+    if kind == "ties":
+        probs = rng.integers(0, int(rng.choice([2, 4, 8])), probs.shape).astype(float)
+    if kind == "zeros":
+        probs[rng.random(probs.shape) < 0.4] = 0.0
+    if kind in ("zeros", "ties"):
+        probs[np.arange(t), rng.integers(0, letters + 1, t)] += 1.0
+    if kind == "one-hot":
+        rows = rng.random(t) < 0.5
+        probs[rows] = 0.0
+        probs[rows, rng.integers(0, letters + 1, int(rows.sum()))] = 1.0
+    dist = dist_of(probs / probs.sum(axis=1, keepdims=True))
+    if alpha is None:
+        return dist, None, 0.0, None
+    alphabet = Alphabet(tuple(string.ascii_lowercase[:letters]))
+    words = ["".join(rng.choice(list(alphabet.letters), int(rng.integers(1, 7)))) for _ in range(8)]
+    return dist, lm_train(words, order, float(rng.choice([0.1, 1.0]))), alpha, alphabet
+
+
+class TestArrayBeamMatchesReference:
+    """The array beam search against the scalar loop it replaced, compared
+    with == on every field of every final hypothesis."""
+
+    @settings(max_examples=300, deadline=None)
+    @example(seed=1, t=27, letters=26, width=20, kind="dense", order=3, alpha=0.2)
+    @example(seed=2, t=40, letters=26, width=25, kind="zeros", order=2, alpha=None)
+    # pruning at exact ties here depends on the normalizer's reduction order
+    # and on which cell a merged prefix takes
+    @example(seed=3760460079, t=30, letters=16, width=25, kind="ties", order=2, alpha=0.5)
+    @example(seed=1501171885, t=20, letters=13, width=20, kind="ties", order=1, alpha=0.7)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        t=st.integers(0, 40),
+        letters=st.integers(1, 26),
+        width=st.integers(1, 25),
+        kind=st.sampled_from(["dense", "zeros", "one-hot", "ties"]),
+        order=st.integers(1, 3),
+        alpha=st.one_of(st.none(), st.just(1.0), st.floats(0.0, 1.0, exclude_min=True)),
+    )
+    def test_hypotheses_bitwise_equal(self, seed, t, letters, width, kind, order, alpha):
+        dist, lm, alpha, alphabet = oracle_case(seed, t, letters, kind, order, alpha)
+
+        def fields(hyps):
+            return [(h.prefix, h.logp_blank, h.logp_nonblank, h.score) for h in hyps]
+
+        got = beam_search(dist, width, lm, alpha, alphabet)
+        assert fields(got) == fields(reference_beam_search(dist, width, lm, alpha, alphabet))

@@ -1,7 +1,9 @@
 """Source hygiene: no unused top-level import in the package, the tests or
-the scripts. ``src/ctcseq/__init__.py`` is exempt: its imports are the
-public re-exports."""
+the scripts (``src/ctcseq/__init__.py`` is exempt: its imports are the
+public re-exports), and no package definition that nothing names."""
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,10 @@ FILES = sorted(
     for folder in ("src/ctcseq", "tests", "scripts")
     for path in (ROOT / folder).glob("*.py")
     if path.relative_to(ROOT).as_posix() != "src/ctcseq/__init__.py"
+)
+PACKAGE = sorted((ROOT / "src/ctcseq").glob("*.py"))
+CALLERS = PACKAGE + sorted(
+    path for folder in ("tests", "scripts", "bench") for path in (ROOT / folder).glob("*.py")
 )
 
 
@@ -40,3 +46,38 @@ def test_detector_reports_only_the_unused_names():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_no_unused_top_level_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def module_definitions(source: str) -> list[str]:
+    """Names of the module-level functions, classes and assigned constants,
+    dunders excepted."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def unnamed_definitions(package: dict[str, str], callers: list[str]) -> list[str]:
+    """``module: name`` for each definition in ``package`` (module -> source)
+    whose name appears as a word in no source but at its definitions."""
+    words = Counter(w for source in callers for w in re.findall(r"\w+", source))
+    defs = Counter(n for source in package.values() for n in module_definitions(source))
+    return [f"{module}: {name}" for module, source in package.items()
+            for name in module_definitions(source) if words[name] <= defs[name]]
+
+
+def test_definition_detector():
+    package = {"m": "LIMIT = 3\ndef used(): return LIMIT\ndef _left(): pass\nclass Gone: pass\n__all__ = []\n"}
+    callers = [package["m"], "from m import used\n"]
+    assert unnamed_definitions(package, callers) == ["m: _left", "m: Gone"]
+
+
+def test_every_package_definition_is_named_somewhere_else():
+    package = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
+    callers = [path.read_text(encoding="utf-8") for path in CALLERS]
+    assert unnamed_definitions(package, callers) == []

@@ -1,3 +1,6 @@
+from itertools import product
+
+import numpy as np
 import pytest
 
 from ctcseq.lm import EOS, lm_train, load_lm, save_lm
@@ -37,6 +40,15 @@ class TestTraining:
     def test_end_marker_probability(self):
         model = lm_train(["asl"], order=3)
         assert model.cond_prob(EOS, "asl") > model.cond_prob("a", "asl")
+
+    def test_row_equals_cond_prob_bitwise(self):
+        model = lm_train(["abca", "bcab", "cc", "a"], order=3, smoothing_alpha=0.3)
+        symbols = ("a", "b", "c", "d", EOS)
+        contexts = ["".join(p) for n in range(5) for p in product("abcd", repeat=n)]
+        for context in contexts:
+            row = model.cond_probs(symbols, context)
+            assert row.dtype == np.float64
+            assert row.tolist() == [model.cond_prob(s, context) for s in symbols]
 
 
 class TestSerialization:

@@ -51,21 +51,36 @@ class TestAdamW:
     def test_zero_lr_is_bitwise_noop(self):
         p = Parameter(np.random.default_rng(1).normal(size=4))
         start = p.data.copy()
-        p.grad[...] = np.random.default_rng(2).normal(size=4)
+        p.grad = np.random.default_rng(2).normal(size=4)
         opt = AdamW([p], lr=0.0, weight_decay=0.01)
         opt.step()
         assert np.array_equal(p.data, start)
 
     def test_step_moves_against_gradient(self):
         p = Parameter(np.zeros(3))
-        p.grad[...] = np.array([1.0, -1.0, 0.5])
+        p.grad = np.array([1.0, -1.0, 0.5])
         opt = AdamW([p], lr=0.1)
         opt.step()
         assert np.all(np.sign(p.data) == -np.sign(p.grad))
 
+    def test_missing_gradient_counts_as_zero(self):
+        rng = np.random.default_rng(3)
+        zero = Parameter(rng.normal(size=4))
+        missing = Parameter(zero.data.copy())
+        zero.grad = np.zeros(4)
+        for p in (zero, missing):
+            opt = AdamW([p], lr=0.01, weight_decay=0.1)
+            for _ in range(3):
+                opt.step()
+        assert np.array_equal(zero.data, missing.data)
+        other = Parameter(np.zeros(2))
+        other.grad = np.array([3.0, 4.0])
+        assert clip_grad_norm([missing, other], 1.0) == 5.0
+        assert missing.grad is None
+
     def test_clip_grad_norm(self):
         p = Parameter(np.zeros(4))
-        p.grad[...] = np.array([3.0, 4.0, 0.0, 0.0])
+        p.grad = np.array([3.0, 4.0, 0.0, 0.0])
         total = clip_grad_norm([p], 1.0)
         assert total == pytest.approx(5.0)
         assert np.linalg.norm(p.grad) == pytest.approx(1.0, abs=1e-12)

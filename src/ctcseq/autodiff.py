@@ -84,9 +84,6 @@ class Tensor:
     def __pow__(self, p):
         return power(self, p)
 
-    def __getitem__(self, idx):
-        return getitem(self, idx)
-
     def sum(self, axis=None, keepdims=False):
         return sum_(self, axis=axis, keepdims=keepdims)
 
@@ -269,17 +266,6 @@ def transpose(a, axes=None) -> Tensor:
     return _node(a.data.transpose(axes), (a,), vjp)
 
 
-def getitem(a, idx) -> Tensor:
-    a = as_tensor(a)
-
-    def vjp(g):
-        z = np.zeros_like(a.data)
-        np.add.at(z, idx, g)
-        return (z,)
-
-    return _node(a.data[idx], (a,), vjp)
-
-
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
@@ -369,12 +355,12 @@ def log_sum_exp(values) -> float:
 # convolution
 
 
-def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
+def conv2d(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D convolution, NCHW layout, square stride/padding.
 
     x: (N, Cin, H, W); weight: (Cout, Cin, kh, kw); bias: (Cout,).
     """
-    x, weight = as_tensor(x), as_tensor(weight)
+    x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     n, cin, h, w = x.shape
     cout, cin_w, kh, kw = weight.shape
     if cin != cin_w:
@@ -393,10 +379,7 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
     win = np.lib.stride_tricks.sliding_window_view(xph, (kh, kw), axis=(1, 2))
     cols = win[:, ::stride, ::stride].reshape(n * oh * ow, cin * kh * kw)
     out_data = np.ascontiguousarray((cols @ wmat.T).reshape(n, oh, ow, cout).transpose(0, 3, 1, 2))
-    if bias is not None:
-        out_data += bias.data[None, :, None, None]
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
+    out_data += bias.data[None, :, None, None]
 
     def vjp(g):
         gmat = g.transpose(0, 2, 3, 1).reshape(n * oh * ow, cout)
@@ -410,11 +393,9 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding: int = 0) -> Tensor:
                     gxph[:, i : i + stride * oh : stride, j : j + stride * ow : stride, :] += gcols[:, :, :, :, i, j]
             gxp = gxph.transpose(0, 3, 1, 2)
             gx = gxp[:, :, padding : padding + h, padding : padding + w] if padding else gxp
-        if bias is None:
-            return gx, gw
         return gx, gw, g.sum(axis=(0, 2, 3))
 
-    return _node(out_data, parents, vjp)
+    return _node(out_data, (x, weight, bias), vjp)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,6 @@ def _field_types(cls) -> dict:
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, (tuple, list)):
         return ",".join(str(v) for v in value)
     return str(value)
@@ -37,20 +35,12 @@ def _parse_value(text: str, annotation):
         return int(text)
     if annotation is float:
         return float(text)
-    if annotation is bool:
-        if text.lower() in ("true", "1", "yes"):
-            return True
-        if text.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"expected a boolean, got {text!r}")
     if annotation == tuple[int, int]:
         parts = [p for p in text.replace("x", ",").split(",") if p.strip()]
         if len(parts) != 2:
             raise ValueError(f"expected two integers, got {text!r}")
         return (int(parts[0]), int(parts[1]))
-    if annotation == tuple[str, ...]:
-        return tuple(p.strip() for p in text.split(",") if p.strip())
-    return text
+    return tuple(p.strip() for p in text.split(",") if p.strip())
 
 
 def load_config(path) -> dict:

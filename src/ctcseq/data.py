@@ -8,6 +8,8 @@ reproducible and parallelizable per clip.
 """
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,7 +43,6 @@ class GenConfig:
     position_jitter: float = 1.5
     train_fraction: float = 0.70
     dev_fraction: float = 0.15
-    signer_disjoint: bool = True
     words: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -81,10 +82,15 @@ class DatasetSplit:
     dev: list[SyntheticClip]
     test: list[SyntheticClip]
     alphabet: Alphabet
-    signer_disjoint: bool = True
 
     def partitions(self) -> dict[str, list[SyntheticClip]]:
         return {"train": self.train, "dev": self.dev, "test": self.test}
+
+    @property
+    def signer_disjoint(self) -> bool:
+        """True when no signer appears in more than one partition."""
+        signers = [{c.signer_id for c in clips} for clips in (self.train, self.dev, self.test)]
+        return sum(map(len, signers)) == len(set().union(*signers))
 
 
 def _glyph(letter_index: int, cfg: GenConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -180,7 +186,8 @@ def _sample_target(rng: np.random.Generator, alphabet: Alphabet, cfg: GenConfig)
 
 
 def synthesize(seed: int, n_clips: int, alphabet: Alphabet, cfg: GenConfig | None = None) -> DatasetSplit:
-    """Generate a signer-disjoint train/dev/test split of synthetic clips."""
+    """Generate a train/dev/test split of synthetic clips, signer-disjoint
+    when ``n_signers`` leaves each partition a signer of its own."""
     cfg = cfg or GenConfig()
     if len(alphabet.letters) < 2:
         raise ValueError("synthesis needs an alphabet of at least 2 letters")
@@ -194,7 +201,7 @@ def synthesize(seed: int, n_clips: int, alphabet: Alphabet, cfg: GenConfig | Non
     n_test = n_clips - n_train - n_dev
     counts = {"train": n_train, "dev": n_dev, "test": max(n_test, 0)}
 
-    # signers are assigned to exactly one partition up front
+    # signers are assigned to partitions up front; too few and dev and test share the last one
     signer_ids = list(range(cfg.n_signers))
     s_train = max(1, int(round(cfg.train_fraction * cfg.n_signers)))
     s_dev = max(1, int(round(cfg.dev_fraction * cfg.n_signers)))
@@ -204,8 +211,6 @@ def synthesize(seed: int, n_clips: int, alphabet: Alphabet, cfg: GenConfig | Non
         "dev": signer_ids[s_train : s_train + s_dev] or signer_ids[-1:],
         "test": signer_ids[s_train + s_dev :] or signer_ids[-1:],
     }
-    if not cfg.signer_disjoint:
-        partition_signers = {name: signer_ids for name in partition_signers}
 
     partitions: dict[str, list[SyntheticClip]] = {"train": [], "dev": [], "test": []}
     clip_index = 0
@@ -230,7 +235,6 @@ def synthesize(seed: int, n_clips: int, alphabet: Alphabet, cfg: GenConfig | Non
         dev=partitions["dev"],
         test=partitions["test"],
         alphabet=alphabet,
-        signer_disjoint=cfg.signer_disjoint,
     )
 
 
@@ -270,11 +274,13 @@ def write_tensor(path, arr: np.ndarray) -> None:
 
 
 def read_exact(fh, size: int, path) -> bytes:
-    """The next ``size`` bytes of ``fh``; fewer means the file is truncated."""
-    buf = fh.read(size)
-    if len(buf) != size:
-        raise ValueError(f"truncated file: {path} ends after {fh.tell()} bytes")
-    return buf
+    """The next ``size`` bytes of ``fh``; fewer left means the file is
+    truncated. The check comes before the read, so a corrupt length field
+    never allocates more than the file holds."""
+    end = os.fstat(fh.fileno()).st_size
+    if size > end - fh.tell():
+        raise ValueError(f"truncated file: {path} ends after {end} bytes")
+    return fh.read(size)
 
 
 def read_tensor(path) -> np.ndarray:
@@ -284,17 +290,18 @@ def read_tensor(path) -> np.ndarray:
             raise ValueError(f"not a tensor container: {path}")
         (version,) = struct.unpack("<I", read_exact(fh, 4, path))
         if version != TENSOR_VERSION:
-            raise ValueError(f"unsupported tensor container version {version}")
+            raise ValueError(f"unsupported tensor container version {version} in {path}")
         if read_exact(fh, 4, path) != b"f64\x00":
             raise ValueError(f"unsupported dtype tag in {path}")
         (ndim,) = struct.unpack("<I", read_exact(fh, 4, path))
         shape = struct.unpack(f"<{ndim}Q", read_exact(fh, 8 * ndim, path))
         payload = fh.read()
-    size = 8 * int(np.prod(shape))
+    size = 8 * math.prod(shape)
     if len(payload) != size:
         raise ValueError(f"tensor payload of {path} has {len(payload)} bytes, shape {shape} needs {size}")
-    arr = np.frombuffer(payload, dtype="<f8").reshape(shape)
-    return arr.astype(np.float64)
+    if max(shape, default=0) >= 1 << 63:  # fits an empty payload, but not a numpy index
+        raise ValueError(f"tensor dimension out of range in {path}: {shape}")
+    return np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
 
 
 def save_dataset(split: DatasetSplit, out_dir) -> None:
@@ -334,8 +341,4 @@ def load_dataset(data_dir) -> DatasetSplit:
                     )
                 )
         parts[name] = clips
-    signers = [{c.signer_id for c in parts[n]} for n in ("train", "dev", "test")]
-    disjoint = all(
-        not (signers[i] & signers[j]) for i in range(3) for j in range(i + 1, 3)
-    )
-    return DatasetSplit(parts["train"], parts["dev"], parts["test"], alphabet, signer_disjoint=disjoint)
+    return DatasetSplit(parts["train"], parts["dev"], parts["test"], alphabet)

@@ -7,6 +7,7 @@ description of the model.
 """
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,8 +29,10 @@ class CharNGramModel:
     def __post_init__(self):
         if self.order < 1:
             raise ValueError(f"language model order must be >= 1: {self.order}")
-        if self.smoothing_alpha <= 0:
-            raise ValueError(f"smoothing alpha must be positive: {self.smoothing_alpha}")
+        if not 0 < self.smoothing_alpha < math.inf:
+            raise ValueError(f"smoothing alpha must be positive and finite: {self.smoothing_alpha}")
+        if any(c < 0 for nexts in self.counts.values() for c in nexts.values()):
+            raise ValueError("n-gram counts must be >= 0")
         symbols = set()
         for ctx, nexts in self.counts.items():
             symbols.update(ctx)
@@ -96,19 +99,22 @@ def save_lm(model: CharNGramModel, path) -> None:
 
 
 def load_lm(path) -> CharNGramModel:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines:
-        raise ValueError(f"empty language model file: {path}")
-    header = lines[0].split()
-    if len(header) != 4 or header[0] != "CHARLM" or header[1] != "v1":
-        raise ValueError(f"unrecognized language model header: {lines[0]!r}")
-    order = int(header[2].removeprefix("order="))
-    alpha = float(header[3].removeprefix("alpha="))
-    counts: dict[str, dict[str, int]] = defaultdict(dict)
-    for ln in lines[1:]:
-        ctx, sym, count = ln.split("\t")
-        if ctx == EMPTY_CONTEXT:
-            ctx = ""
-        counts[ctx][sym] = int(count)
-    return CharNGramModel(order=order, smoothing_alpha=alpha, counts=dict(counts))
+    """Read a ``CHARLM v1`` file; malformed content raises a ValueError naming it."""
+    try:
+        lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln]
+        if not lines:
+            raise ValueError("empty file")
+        header = lines[0].split()
+        if len(header) != 4 or header[0] != "CHARLM" or header[1] != "v1":
+            raise ValueError(f"unrecognized header {lines[0]!r}")
+        order = int(header[2].removeprefix("order="))
+        alpha = float(header[3].removeprefix("alpha="))
+        counts: dict[str, dict[str, int]] = defaultdict(dict)
+        for ln in lines[1:]:
+            ctx, sym, count = ln.split("\t")
+            if ctx == EMPTY_CONTEXT:
+                ctx = ""
+            counts[ctx][sym] = int(count)
+        return CharNGramModel(order=order, smoothing_alpha=alpha, counts=dict(counts))
+    except ValueError as exc:
+        raise ValueError(f"malformed language model file {path}: {exc}") from None

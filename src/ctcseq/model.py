@@ -49,6 +49,10 @@ class ModelConfig:
     def __post_init__(self):
         object.__setattr__(self, "feat_grid", tuple(self.feat_grid))
         object.__setattr__(self, "pooled_grid", tuple(self.pooled_grid))
+        sizes = (self.feat_channels, self.embed_dim, self.encoder_layers, self.heads, self.ffn_hidden,
+                 self.context_window, self.num_classes, *self.feat_grid, *self.pooled_grid)
+        if len(self.feat_grid) != 2 or len(self.pooled_grid) != 2 or not all(isinstance(v, int) for v in sizes):
+            raise ValueError("layer sizes, heads and windows must be integers, and each grid two of them")
         if min(self.feat_channels, self.embed_dim, self.heads, self.ffn_hidden,
                *self.feat_grid, *self.pooled_grid) < 1:
             raise ValueError("feat_channels, embed_dim, heads, ffn_hidden and the grids must be >= 1")
@@ -141,6 +145,14 @@ def causal_mask(length: int, window: int | None = None) -> np.ndarray:
     return np.where(allowed, 0.0, MASK_OFF)
 
 
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, window: int | None = None) -> Tensor:
+    """softmax(q k^T / sqrt(d) + causal_mask(t, window)) v over the last two axes."""
+    t, d = q.shape[-2:]
+    axes = tuple(range(q.ndim - 2)) + (q.ndim - 1, q.ndim - 2)
+    scores = ad.matmul(q, ad.transpose(k, axes)) * (1.0 / math.sqrt(d)) + Tensor(causal_mask(t, window))
+    return ad.matmul(ad.softmax(scores, axis=-1), v)
+
+
 def pool_matrix(in_size: int, out_size: int) -> np.ndarray:
     """Adaptive-average-pooling weights with floor/ceil bin boundaries."""
     if out_size > in_size:
@@ -214,18 +226,13 @@ class AttentionRefiner(Module):
         self.w_k = Parameter(rng.normal(0.0, std, size=(dim, dim)))
         self.w_v = Parameter(rng.normal(0.0, std, size=(dim, dim)))
         self.window = cfg.context_window
-        self.grid = cfg.feat_grid
 
     def __call__(self, maps: Tensor) -> Tensor:
         t, h, w = maps.shape
         dim = h * w
         tokens = ad.reshape(maps, (t, dim)) * math.sqrt(dim) + Tensor(sinusoidal_encoding(t, dim))
-        q = ad.matmul(tokens, self.w_q)
-        k = ad.matmul(tokens, self.w_k)
-        v = ad.matmul(tokens, self.w_v)
-        scores = ad.matmul(q, ad.transpose(k)) * (1.0 / math.sqrt(dim)) + Tensor(causal_mask(t, self.window))
-        weights = ad.softmax(scores, axis=-1)
-        return ad.reshape(ad.matmul(weights, v), (t, h, w))
+        q, k, v = (ad.matmul(tokens, wm) for wm in (self.w_q, self.w_k, self.w_v))
+        return ad.reshape(causal_attention(q, k, v, self.window), (t, h, w))
 
 
 class MultiHeadSelfAttention(Module):
@@ -247,10 +254,7 @@ class MultiHeadSelfAttention(Module):
             return ad.transpose(ad.reshape(m, (t, nh, hd)), (1, 0, 2))
 
         q, k, v = (split(ad.matmul(x, wm)) for wm in (self.w_q, self.w_k, self.w_v))
-        scores = ad.matmul(q, ad.transpose(k, (0, 2, 1))) * (1.0 / math.sqrt(hd))
-        scores = scores + Tensor(causal_mask(t)[None, :, :])
-        weights = ad.softmax(scores, axis=-1)
-        ctx = ad.reshape(ad.transpose(ad.matmul(weights, v), (1, 0, 2)), (t, e))
+        ctx = ad.reshape(ad.transpose(causal_attention(q, k, v), (1, 0, 2)), (t, e))
         return ad.matmul(ctx, self.w_o)
 
 
@@ -284,7 +288,6 @@ class Recognizer(Module):
         self.spatial = SpatialAttention(cfg, rng)
         self.refiner = AttentionRefiner(cfg, rng)
         self.blend_raw = Parameter(np.zeros(()), name="blend_raw")
-        h, w = cfg.feat_grid
         ph, pw = cfg.pooled_grid
         self.embed = Linear(cfg.feat_channels * ph * pw, cfg.embed_dim, rng)
         self.layers = [EncoderLayer(cfg, rng) for _ in range(cfg.encoder_layers)]
@@ -369,15 +372,10 @@ def motion_prior(frames: np.ndarray, grid: tuple[int, int]) -> np.ndarray:
     diff = np.zeros((t, ph, pw))
     if t > 1:
         diff[1:] = np.abs(frames[1:] - frames[:-1]).sum(axis=1)
-    mh = pool_matrix(ph, gh)
-    mw = pool_matrix(pw, gw)
-    small = np.einsum("ij,tjk,lk->til", mh, diff, mw)
-    sums = small.reshape(t, -1).sum(axis=1)
-    uniform = np.full((gh, gw), 1.0 / (gh * gw))
-    out = np.empty((t, gh, gw))
-    for i in range(t):
-        out[i] = uniform if sums[i] <= 1e-12 else small[i] / sums[i]
-    return out
+    small = pool_matrix(ph, gh) @ diff @ pool_matrix(pw, gw).T
+    sums = small.sum(axis=(1, 2), keepdims=True)
+    still = sums <= 1e-12
+    return np.where(still, 1.0 / (gh * gw), small / np.where(still, 1.0, sums))
 
 
 # ---------------------------------------------------------------------------
@@ -423,22 +421,26 @@ def load_checkpoint(path) -> Recognizer:
         if fh.read(8) != CKPT_MAGIC:
             raise ValueError(f"not a checkpoint file: {path}")
         (mlen,) = struct.unpack("<Q", read_exact(fh, 8, path))
-        manifest = json.loads(read_exact(fh, mlen, path).decode("utf-8"))
+        mbytes = read_exact(fh, mlen, path)
         payload = fh.read()
-    if not isinstance(manifest, dict) or not {"model_config", "params", "payload_bytes"} <= manifest.keys():
+    try:
+        manifest = json.loads(mbytes.decode("utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"undecodable checkpoint manifest in {path}: {exc}") from None
+    if (not isinstance(manifest, dict) or not {"model_config", "params", "payload_bytes"} <= manifest.keys()
+            or not isinstance(manifest["params"], list)):
         raise ValueError(f"malformed checkpoint manifest in {path}: "
-                         "expected an object with model_config, params and payload_bytes")
+                         "expected an object with model_config, params (a list) and payload_bytes")
     if manifest.get("version") != CKPT_VERSION:
-        raise ValueError(f"unsupported checkpoint version: {manifest.get('version')}")
+        raise ValueError(f"unsupported checkpoint version in {path}: {manifest.get('version')}")
     if len(payload) != manifest["payload_bytes"]:
         raise ValueError(
             f"checkpoint payload truncated in {path}: {len(payload)} != {manifest['payload_bytes']} bytes"
         )
     try:
-        cfg = ModelConfig(**manifest["model_config"])
-    except TypeError as exc:
+        model = Recognizer(ModelConfig(**manifest["model_config"]), seed=0)
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed model_config in checkpoint {path}: {exc}") from None
-    model = Recognizer(cfg, seed=0)
     params = model.named_parameters()
     seen = set()
     for entry in manifest["params"]:
@@ -446,16 +448,17 @@ def load_checkpoint(path) -> Recognizer:
             name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
         except (KeyError, TypeError):
             raise ValueError(f"malformed parameter entry in checkpoint {path}: {entry!r}") from None
-        if name not in params:
-            raise ValueError(f"checkpoint parameter {name!r} not present in model")
+        if not isinstance(name, str) or name not in params:
+            raise ValueError(f"checkpoint parameter {name!r} in {path} not present in model")
         p = params[name]
-        if tuple(p.data.shape) != shape:
-            raise ValueError(f"shape mismatch for {name!r}: checkpoint {shape}, model {p.data.shape}")
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(payload, dtype="<f8", count=count, offset=offset).reshape(shape)
+        if p.data.shape != shape:
+            raise ValueError(f"shape mismatch for {name!r} in {path}: checkpoint {shape}, model {p.data.shape}")
+        if type(offset) is not int or not 0 <= offset <= len(payload) - 8 * p.data.size:
+            raise ValueError(f"offset {offset!r} of {name!r} in {path} is outside the {len(payload)}-byte payload")
+        arr = np.frombuffer(payload, dtype="<f8", count=p.data.size, offset=offset).reshape(shape)
         p.data = arr.astype(np.float64)
         seen.add(name)
     missing = set(params) - seen
     if missing:
-        raise ValueError(f"checkpoint missing parameters: {sorted(missing)}")
+        raise ValueError(f"checkpoint {path} missing parameters: {sorted(missing)}")
     return model

@@ -240,6 +240,7 @@ class TestErrors:
         ("data", "max_frames_per_letter = 1", "max_frames_per_letter must be >="),
         ("data", "words = xyz", "words use letters 'xyz'"),
         ("data", "channels = 4", "unknown config key"),
+        ("data", "signer_disjoint = true", "unknown config key"),
     ])
     def test_bad_config_is_one_error_line(self, tmp_path, capsys, section, line, message):
         cfg = tmp_path / "bad.ini"

@@ -1,6 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from conftest import CORRUPTIONS, write_corrupted
 from ctcseq.ctc import Alphabet
 from ctcseq.data import (
     GenConfig,
@@ -15,6 +19,13 @@ from ctcseq.data import (
 )
 
 ALPHABET = Alphabet(tuple("abcde"))
+
+
+@pytest.fixture(scope="module")
+def tensor_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("tensor") / "t.tnsr"
+    write_tensor(path, np.random.default_rng(0).random((3, 3, 4, 4)))
+    return path.read_bytes()
 
 
 def small_cfg(**kw):
@@ -41,6 +52,13 @@ class TestSynthesize:
         assert not (seen["train"] & seen["dev"])
         assert not (seen["train"] & seen["test"])
         assert not (seen["dev"] & seen["test"])
+
+    @pytest.mark.parametrize("n_signers, disjoint", [(5, False), (12, True)])
+    def test_signer_disjoint_is_computed_from_the_partitions(self, n_signers, disjoint):
+        split = synthesize(0, 40, ALPHABET, GenConfig(frame_size=16, n_signers=n_signers))
+        shared = {c.signer_id for c in split.dev} & {c.signer_id for c in split.test}
+        assert split.signer_disjoint is disjoint
+        assert bool(shared) is not disjoint
 
     def test_one_signer_fills_every_partition(self):
         split = synthesize(3, 12, ALPHABET, small_cfg(n_signers=1))
@@ -156,6 +174,27 @@ class TestContainers:
         path.write_bytes(path.read_bytes()[:cut])
         with pytest.raises(ValueError, match="clip.tnsr"):
             read_tensor(path)
+
+    @pytest.mark.parametrize("ndim, shape", [(0xFFFFFFFF, ()), (2, (1 << 63, 1 << 63)), (2, (0, 1 << 63))],
+                             ids=["huge-ndim", "overflowing-size", "unindexable-dim"])
+    def test_corrupt_header_rejected_naming_the_file(self, tmp_path, ndim, shape):
+        path = tmp_path / "odd.tnsr"
+        path.write_bytes(b"CTSQTENS" + struct.pack("<I", 1) + b"f64\x00" + struct.pack("<I", ndim)
+                         + struct.pack(f"<{len(shape)}Q", *shape))
+        with pytest.raises(ValueError, match="odd.tnsr"):
+            read_tensor(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(edits=CORRUPTIONS)
+    def test_corrupted_bytes_end_in_a_named_error_or_an_array(self, tensor_bytes, tmp_path_factory, edits):
+        path = tmp_path_factory.getbasetemp() / "corrupt.tnsr"
+        write_corrupted(path, tensor_bytes, edits)
+        try:
+            arr = read_tensor(path)
+        except ValueError as exc:
+            assert "corrupt.tnsr" in str(exc)
+        else:
+            assert arr.dtype == np.float64
 
     def test_dataset_round_trip(self, tmp_path):
         split = synthesize(4, 10, ALPHABET, small_cfg())

@@ -2,8 +2,17 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from conftest import CORRUPTIONS, write_corrupted
 from ctcseq.lm import EOS, lm_train, load_lm, save_lm
+
+
+@pytest.fixture(scope="module")
+def lm_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("lm") / "model.charlm"
+    save_lm(lm_train(["asl", "lsa", "aal"], order=2), path)
+    return path.read_bytes()
 
 
 class TestTraining:
@@ -77,6 +86,34 @@ class TestSerialization:
         path.write_text("NOTALM v9\n")
         with pytest.raises(ValueError):
             load_lm(path)
+
+    @pytest.mark.parametrize("text", [
+        "",
+        "CHARLM v1 order=1 alpha=nan\n·\ta\t1\n",
+        "CHARLM v1 order=1 alpha=inf\n·\ta\t1\n",
+        "CHARLM v1 order=1 alpha=1.0\n·\ta\t1\n·\tb\t-9\n",
+        "CHARLM v1 order=x alpha=1.0\n",
+        "CHARLM v1 order=1 alpha=1.0\n·\ta\n",
+    ], ids=["empty", "nan-alpha", "inf-alpha", "negative-count", "bad-order", "short-line"])
+    def test_malformed_file_rejected_naming_the_file(self, tmp_path, text):
+        path = tmp_path / "odd.charlm"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match="odd.charlm"):
+            load_lm(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(edits=CORRUPTIONS)
+    def test_corrupted_bytes_end_in_a_named_error_or_a_distribution(self, lm_bytes, tmp_path_factory, edits):
+        path = tmp_path_factory.getbasetemp() / "corrupt.charlm"
+        write_corrupted(path, lm_bytes, edits)
+        try:
+            model = load_lm(path)
+        except ValueError as exc:
+            assert "corrupt.charlm" in str(exc)
+        else:
+            for ctx in ("", "a", "sl"):
+                probs = model.cond_probs(model.vocab, ctx)
+                assert np.all(probs > 0.0) and abs(probs.sum() - 1.0) < 1e-9
 
     def test_empty_context_placeholder(self, tmp_path):
         model = lm_train(["ab"], order=1)

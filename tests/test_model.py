@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+from conftest import CORRUPTIONS, write_corrupted
 from ctcseq.autodiff import Tensor, finite_difference_check
 from ctcseq.data import normalize
 from ctcseq.losses import combined_loss
@@ -32,6 +34,20 @@ TOY = ModelConfig(
 
 def toy_frames(rng, t=3, size=24):
     return rng.random((t, 3, size, size))
+
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+    save_checkpoint(Recognizer(TOY, seed=0), path)
+    return path.read_bytes()
+
+
+def with_param(m, index, **changes):
+    """The manifest ``m`` with entry ``index`` of its params list updated."""
+    params = list(m["params"])
+    params[index] = {**params[index], **changes}
+    return {**m, "params": params}
 
 
 class TestConfig:
@@ -332,6 +348,21 @@ class TestMotionPrior:
         assert priors[1][:2, :2].sum() > 0.5
         assert np.allclose(priors[0], 1 / 16, atol=1e-12)
 
+    @pytest.mark.parametrize("size, grid", [(16, 4), (14, 9), (64, 8), (12, 3)])
+    def test_matches_block_mean_oracle(self, size, grid):
+        rng = np.random.default_rng(size)
+        frames = rng.random((4, 3, size, size))
+        frames[2] = frames[1]  # a still frame mid-clip
+        # floor/ceil bin edges; for 14 -> 9 neighbouring bins overlap
+        bins = [((i * size) // grid, -((-(i + 1) * size) // grid)) for i in range(grid)]
+        expected = np.full((4, grid, grid), 1.0 / grid**2)
+        for t in (1, 3):
+            diff = np.abs(frames[t] - frames[t - 1]).sum(axis=0)
+            cells = np.array([[diff[r0:r1, c0:c1].sum() / ((r1 - r0) * (c1 - c0)) for c0, c1 in bins]
+                              for r0, r1 in bins])
+            expected[t] = cells / cells.sum()
+        assert np.allclose(motion_prior(frames, (grid, grid)), expected, rtol=0.0, atol=1e-12)
+
 
 class TestCheckpoints:
     def test_round_trip_bitwise(self, tmp_path):
@@ -382,7 +413,22 @@ class TestCheckpoints:
         lambda m: {k: v for k, v in m.items() if k != "params"},
         lambda m: {**m, "model_config": {**m["model_config"], "channels": 3}},
         lambda m: {**m, "params": [{"name": "blend_raw"}, *m["params"][1:]]},
-    ], ids=["not-an-object", "no-payload-bytes", "no-params", "unknown-config-key", "entry-without-shape"])
+        lambda m: {**m, "params": 5},
+        lambda m: with_param(m, 0, offset="0"),
+        lambda m: with_param(m, 0, offset=10**30),
+        lambda m: with_param(m, 0, offset=-8),
+        lambda m: with_param(m, -1, offset=m["payload_bytes"] - 4),
+        lambda m: with_param(m, 0, name=["blend_raw"]),
+        lambda m: with_param(m, 0, name="no_such_param"),
+        lambda m: with_param(m, 0, shape=[2]),
+        lambda m: {**m, "params": m["params"][1:]},
+        lambda m: {**m, "version": 2},
+        lambda m: {**m, "model_config": {**m["model_config"], "heads": 2.0}},
+        lambda m: {**m, "model_config": {**m["model_config"], "feat_grid": [6]}},
+    ], ids=["not-an-object", "no-payload-bytes", "no-params", "unknown-config-key", "entry-without-shape",
+            "params-not-a-list", "string-offset", "huge-offset", "negative-offset", "offset-past-payload",
+            "list-name", "unknown-name", "wrong-shape", "missing-param", "version-2", "float-heads",
+            "one-entry-grid"])
     def test_malformed_manifest_rejected_naming_the_file(self, tmp_path, edit):
         path = tmp_path / "odd.ckpt"
         save_checkpoint(Recognizer(TOY, seed=0), path)
@@ -392,3 +438,20 @@ class TestCheckpoints:
         path.write_bytes(raw[:8] + len(mbytes).to_bytes(8, "little") + mbytes + raw[end:])
         with pytest.raises(ValueError, match="odd.ckpt"):
             load_checkpoint(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(edits=CORRUPTIONS)
+    def test_corrupted_manifest_ends_in_a_named_error_or_a_working_model(
+            self, checkpoint_bytes, tmp_path_factory, edits):
+        # the payload is bare float64 data, so aim at the header and manifest
+        end = 16 + int.from_bytes(checkpoint_bytes[8:16], "little")
+        path = tmp_path_factory.getbasetemp() / "corrupt.ckpt"
+        write_corrupted(path, checkpoint_bytes, [(pos % end, byte) for pos, byte in edits])
+        try:
+            model = load_checkpoint(path)
+        except ValueError as exc:
+            assert "corrupt.ckpt" in str(exc)
+        else:
+            raw = toy_frames(np.random.default_rng(0), t=2)
+            log_probs = model.forward(normalize(raw), motion_prior(raw, model.cfg.feat_grid)).log_probs.data
+            assert log_probs.shape == (2, model.cfg.num_classes + 1) and np.isfinite(log_probs).all()

@@ -7,7 +7,6 @@ from .autodiff import (
     Tensor,
     backward,
     finite_difference_check,
-    log_sum_exp,
     no_grad,
     softmax,
 )

@@ -238,10 +238,7 @@ def sum_(a, axis=None, keepdims=False) -> Tensor:
 
 def mean_(a, axis=None, keepdims=False) -> Tensor:
     a = as_tensor(a)
-    if axis is None:
-        n = a.size
-    else:
-        n = a.shape[axis] if isinstance(axis, int) else int(np.prod([a.shape[i] for i in axis]))
+    n = a.size if axis is None else a.shape[axis]
     return mul(sum_(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
@@ -282,20 +279,10 @@ def matmul(a, b) -> Tensor:
     return _node(out_data, (a, b), vjp)
 
 
-def linear(x, weight, bias=None) -> Tensor:
-    """Affine map x @ weight (+ bias). Shape mismatches raise ValueError."""
-    out = matmul(x, weight)
-    if bias is not None:
-        out = add(out, bias)
-    return out
-
-
 def dropout(x, p: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout; call only in training mode."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1): {p}")
-    if p == 0.0:
-        return as_tensor(x)
     x = as_tensor(x)
     mask = (rng.random(x.shape) >= p) / (1.0 - p)
 
@@ -337,18 +324,6 @@ def log_softmax(logits, axis: int = -1) -> Tensor:
     if not -logits.ndim <= axis < logits.ndim:
         raise ValueError(f"log_softmax axis {axis} invalid for shape {logits.shape}")
     return sub(logits, logsumexp(logits, axis=axis, keepdims=True))
-
-
-def log_sum_exp(values) -> float:
-    """ln(sum(exp(v))) of a non-empty list of log-domain reals.
-
-    -inf is the absorbing log-domain zero; an all-sentinel input returns
-    the sentinel. Reduction runs in ascending index order.
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("log_sum_exp of an empty list")
-    return float(np.logaddexp.reduce(arr.ravel()))
 
 
 # ---------------------------------------------------------------------------

@@ -67,9 +67,16 @@ def _cmd_train(args) -> int:
     return 0
 
 
+def _check_letters(model: Recognizer, alphabet: Alphabet, source: str) -> None:
+    if len(alphabet.letters) != model.cfg.num_classes:
+        raise ValueError(f"{source} has {len(alphabet.letters)} letters, "
+                         f"but the checkpoint has {model.cfg.num_classes}")
+
+
 def _eval_report(args, partition: str):
     model = load_checkpoint(args.ckpt)
     split = load_dataset(args.data)
+    _check_letters(model, split.alphabet, f"the dataset in {args.data}")
     clips = split.partitions()[partition]
     if not clips:
         raise ValueError(f"no clips in partition {partition!r}")
@@ -94,9 +101,7 @@ def _cmd_eval(args) -> int:
 def _cmd_decode(args) -> int:
     model = load_checkpoint(args.ckpt)
     letters = Alphabet(tuple(args.alphabet))
-    if len(letters.letters) != model.cfg.num_classes:
-        raise ValueError(f"--alphabet has {len(letters.letters)} letters, "
-                         f"but the checkpoint has {model.cfg.num_classes}")
+    _check_letters(model, letters, "--alphabet")
     frames = read_tensor(args.clip)
     with no_grad():
         dist = forward_frames(model, frames)

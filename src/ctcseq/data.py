@@ -27,20 +27,21 @@ TENSOR_VERSION = 1
 _GLYPH_SEED = 0x67_6C_79
 _SIGNER_SEED = 0x73_67_6E
 
+MIN_FRAMES_PER_LETTER = 2
+BACKGROUND_NOISE = 0.02  # std of the per-pixel Gaussian noise
+POSITION_JITTER = 1.5  # bound of the per-clip drift in pixels per frame
+
 
 @dataclass(frozen=True)
 class GenConfig:
     frame_size: int = 64
     min_letters: int = 2
     max_letters: int = 4
-    min_frames_per_letter: int = 2
     max_frames_per_letter: int = 3
     transition_frames: int = 1
     glyph_cells: int = 7
     n_signers: int = 12
     left_handed_rate: float = 0.07
-    background_noise: float = 0.02
-    position_jitter: float = 1.5
     train_fraction: float = 0.70
     dev_fraction: float = 0.15
     words: tuple[str, ...] = ()
@@ -53,11 +54,9 @@ class GenConfig:
                 raise ValueError(f"{key} must be >= 1: {getattr(self, key)}")
         if self.transition_frames < 0:
             raise ValueError(f"transition_frames must be >= 0: {self.transition_frames}")
-        if self.min_frames_per_letter < 2:
-            raise ValueError("each letter must be rendered for at least 2 frames")
-        if self.max_frames_per_letter < self.min_frames_per_letter:
-            raise ValueError(f"max_frames_per_letter must be >= min_frames_per_letter "
-                             f"({self.min_frames_per_letter}): {self.max_frames_per_letter}")
+        if self.max_frames_per_letter < MIN_FRAMES_PER_LETTER:
+            raise ValueError(f"max_frames_per_letter must be >= {MIN_FRAMES_PER_LETTER}: "
+                             f"{self.max_frames_per_letter}")
         if not 0.0 <= self.left_handed_rate <= 1.0:
             raise ValueError("left_handed_rate must be in [0, 1]")
         if not 0.0 < self.train_fraction + self.dev_fraction < 1.0:
@@ -143,7 +142,7 @@ def _render_clip(seed: int, clip_index: int, target: tuple[int, ...], signer_id:
     # frame schedule: hold each letter, one blurred transition in between
     schedule: list[tuple[int, int | None, float]] = []  # (glyph_a, glyph_b, mix)
     for i in range(len(target)):
-        hold = int(rng.integers(cfg.min_frames_per_letter, cfg.max_frames_per_letter + 1))
+        hold = int(rng.integers(MIN_FRAMES_PER_LETTER, cfg.max_frames_per_letter + 1))
         schedule.extend((i, None, 0.0) for _ in range(hold))
         if i + 1 < len(target):
             schedule.extend((i, i + 1, 0.5) for _ in range(cfg.transition_frames))
@@ -152,12 +151,12 @@ def _render_clip(seed: int, clip_index: int, target: tuple[int, ...], signer_id:
     frames = np.zeros((t_total, 3, s, s))
     x = profile["base_x"] * s
     y = profile["base_y"] * s
-    dx = float(rng.uniform(-cfg.position_jitter, cfg.position_jitter))
-    dy = float(rng.uniform(-cfg.position_jitter, cfg.position_jitter))
+    dx = float(rng.uniform(-POSITION_JITTER, POSITION_JITTER))
+    dy = float(rng.uniform(-POSITION_JITTER, POSITION_JITTER))
     for t, (a, b, mix) in enumerate(schedule):
         canvas = frames[t]
         canvas += profile["background"]
-        canvas += rng.normal(0.0, cfg.background_noise, size=canvas.shape)
+        canvas += rng.normal(0.0, BACKGROUND_NOISE, size=canvas.shape)
         jx = float(rng.uniform(-1.0, 1.0))
         jy = float(rng.uniform(-1.0, 1.0))
         px, py = int(round(x + jx)), int(round(y + jy))
@@ -189,6 +188,8 @@ def synthesize(seed: int, n_clips: int, alphabet: Alphabet, cfg: GenConfig | Non
     """Generate a train/dev/test split of synthetic clips, signer-disjoint
     when ``n_signers`` leaves each partition a signer of its own."""
     cfg = cfg or GenConfig()
+    if n_clips < 0:
+        raise ValueError(f"n_clips must be >= 0: {n_clips}")
     if len(alphabet.letters) < 2:
         raise ValueError("synthesis needs an alphabet of at least 2 letters")
     stray = sorted(set("".join(cfg.words)) - set(alphabet.letters))

@@ -42,7 +42,7 @@ class CharNGramModel:
         self._totals = {ctx: sum(nexts.values()) for ctx, nexts in self.counts.items()}
 
     def _backoff_context(self, context: str) -> str:
-        ctx = context[-self.order :] if self.order else ""
+        ctx = context[-self.order :]
         while ctx and ctx not in self.counts:
             ctx = ctx[1:]
         return ctx

@@ -25,6 +25,13 @@ MASK_OFF = -1e9
 
 LAYERNORM_EPS = 1e-5
 
+DROPOUT_ENCODER = 0.3
+DROPOUT_ATTENTION = 0.1
+
+# fixed multiplier on the classifier output; keeps the head an affine
+# map while giving the logits usable dynamic range at small step sizes
+LOGIT_SCALE = 8.0
+
 CKPT_MAGIC = b"CTSQCKPT"
 CKPT_VERSION = 1
 
@@ -39,12 +46,7 @@ class ModelConfig:
     heads: int = 2
     ffn_hidden: int = 64
     context_window: int = 5
-    dropout_encoder: float = 0.3
-    dropout_attention: float = 0.1
     num_classes: int = 5
-    # fixed multiplier on the classifier output; keeps the head an affine
-    # map while giving the logits usable dynamic range at small step sizes
-    logit_scale: float = 8.0
 
     def __post_init__(self):
         object.__setattr__(self, "feat_grid", tuple(self.feat_grid))
@@ -60,8 +62,9 @@ class ModelConfig:
             raise ValueError(f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
         if any(p > f for p, f in zip(self.pooled_grid, self.feat_grid)):
             raise ValueError(f"pooled grid {self.pooled_grid} exceeds feature grid {self.feat_grid}")
-        if self.context_window < 0:
-            raise ValueError("context_window must be >= 0")
+        for key in ("encoder_layers", "context_window"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be >= 0: {getattr(self, key)}")
         if self.num_classes < 1:
             raise ValueError("need at least one letter class")
 
@@ -93,17 +96,17 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(out_dim))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ad.linear(x, self.weight, self.bias)
+        return ad.matmul(x, self.weight) + self.bias
 
 
 class Conv2d(Module):
-    def __init__(self, cin: int, cout: int, rng: np.random.Generator,
-                 kernel: int = 3, stride: int = 1, padding: int = 1):
-        std = math.sqrt(2.0 / (cin * kernel * kernel))
-        self.weight = Parameter(rng.normal(0.0, std, size=(cout, cin, kernel, kernel)))
+    def __init__(self, cin: int, cout: int, rng: np.random.Generator, stride: int = 1):
+        # 3x3 kernels with padding 1
+        std = math.sqrt(2.0 / (cin * 9))
+        self.weight = Parameter(rng.normal(0.0, std, size=(cout, cin, 3, 3)))
         self.bias = Parameter(np.zeros(cout))
         self.stride = stride
-        self.padding = padding
+        self.padding = 1
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
@@ -265,16 +268,15 @@ class EncoderLayer(Module):
         self.ffn_in = Linear(cfg.embed_dim, cfg.ffn_hidden, rng)
         self.ffn_out = Linear(cfg.ffn_hidden, cfg.embed_dim, rng)
         self.norm2 = LayerNorm(cfg.embed_dim)
-        self.dropout = cfg.dropout_encoder
 
     def __call__(self, x: Tensor, training: bool, rng) -> Tensor:
         a = self.attn(x)
         if training:
-            a = ad.dropout(a, self.dropout, rng)
+            a = ad.dropout(a, DROPOUT_ENCODER, rng)
         x = self.norm1(x + a)
         f = self.ffn_out(ad.relu(self.ffn_in(x)))
         if training:
-            f = ad.dropout(f, self.dropout, rng)
+            f = ad.dropout(f, DROPOUT_ENCODER, rng)
         return self.norm2(x + f)
 
 
@@ -339,7 +341,7 @@ class Recognizer(Module):
 
         features = self.extractor(x)
         raw = self.spatial(features)
-        raw_for_refine = ad.dropout(raw, self.cfg.dropout_attention, rng) if training else raw
+        raw_for_refine = ad.dropout(raw, DROPOUT_ATTENTION, rng) if training else raw
         refined = self.refiner(raw_for_refine)
         final_maps = self.blend_with_prior(refined, priors)
 
@@ -347,7 +349,7 @@ class Recognizer(Module):
         pooled = adaptive_pool(attended, self.cfg.pooled_grid)
         embeddings = self.embed(ad.reshape(pooled, (pooled.shape[0], -1)))
         encoded = self.encode(embeddings, training, rng)
-        logits = self.classifier(encoded) * self.cfg.logit_scale
+        logits = self.classifier(encoded) * LOGIT_SCALE
         return FrameDistributionSeq(ad.log_softmax(logits, axis=-1))
 
 

@@ -25,6 +25,13 @@ from .model import ModelConfig, Recognizer, motion_prior, save_checkpoint
 
 log = logging.getLogger(__name__)
 
+# fixed settings of every train() step: AdamW's moments, stabilizer and decay, and the grad-norm clip
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
+WEIGHT_DECAY = 0.01
+GRAD_CLIP = 5.0
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -41,11 +48,6 @@ class TrainConfig:
     lm_order: int = 3
     seed: int = 0
     batch_size: int = 8
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.01
-    grad_clip: float = 5.0  # 0 disables clipping
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -67,14 +69,11 @@ class AdamW:
     exactly. A ``None`` gradient counts as zero.
     """
 
-    def __init__(self, params: list[Parameter], lr: float, betas=(0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.0):
+    def __init__(self, params: list[Parameter], lr: float, weight_decay: float = 0.0):
         if lr < 0:
             raise ValueError(f"learning rate must be nonnegative: {lr}")
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
@@ -82,15 +81,15 @@ class AdamW:
 
     def step(self) -> None:
         self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
+        c1 = 1.0 - BETA1**self.t
+        c2 = 1.0 - BETA2**self.t
         for p, m, v in zip(self.params, self._m, self._v):
             g = 0.0 if p.grad is None else p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            update = (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            update = (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
             p.data -= self.lr * (update + self.weight_decay * p.data)
 
     def zero_grad(self) -> None:
@@ -101,7 +100,7 @@ class AdamW:
 def clip_grad_norm(params: list[Parameter], max_norm: float) -> float:
     grads = [p.grad for p in params if p.grad is not None]
     total = math.sqrt(sum(float((g * g).sum()) for g in grads))
-    if max_norm > 0 and total > max_norm:
+    if total > max_norm:
         scale = max_norm / total
         for g in grads:
             g *= scale
@@ -164,8 +163,7 @@ def train(model: Recognizer, split: DatasetSplit, cfg: TrainConfig,
     Clips whose target cannot be aligned (too few frames) are skipped with
     a warning instead of poisoning the batch.
     """
-    opt = AdamW(model.parameters(), lr=cfg.lr, betas=(cfg.beta1, cfg.beta2),
-                eps=cfg.eps, weight_decay=cfg.weight_decay)
+    opt = AdamW(model.parameters(), lr=cfg.lr, weight_decay=WEIGHT_DECAY)
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
@@ -211,8 +209,7 @@ def train(model: Recognizer, split: DatasetSplit, cfg: TrainConfig,
                 total = total + node
             total = total * (1.0 / len(nodes))
             backward(total)
-            if cfg.grad_clip > 0:
-                clip_grad_norm(opt.params, cfg.grad_clip)
+            clip_grad_norm(opt.params, GRAD_CLIP)
             opt.lr = cfg.lr * 0.5 * (1.0 + math.cos(math.pi * opt.t / total_steps))
             opt.step()
             opt.zero_grad()

@@ -11,9 +11,9 @@ from ctcseq.autodiff import (
     Tensor,
     backward,
     finite_difference_check,
-    log_sum_exp,
     softmax,
 )
+from ctcseq.model import Linear
 
 
 class TestSoftmax:
@@ -41,58 +41,35 @@ class TestSoftmax:
         assert np.all(out > 0.0)
 
 
-class TestLogSumExp:
-    def test_two_terms_exact(self):
-        got = log_sum_exp([math.log(0.2), math.log(0.3)])
-        assert abs(got - math.log(0.5)) < 1e-12
-
-    def test_absorbing_sentinel(self):
-        assert log_sum_exp([float("-inf"), math.log(0.7)]) == pytest.approx(math.log(0.7), abs=1e-15)
-        assert log_sum_exp([float("-inf"), float("-inf")]) == float("-inf")
-
-    def test_many_tiny_terms(self):
-        vals = [math.log(1e-300)] * 1000
-        expected = math.log(1000.0) + math.log(1e-300)
-        got = log_sum_exp(vals)
-        assert math.isfinite(got)
-        assert abs(got - expected) < 1e-10
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            log_sum_exp([])
-
-    @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=12))
-    def test_bounds(self, vals):
-        got = log_sum_exp(vals)
-        assert got >= max(vals) - 1e-12
-        assert got <= max(vals) + math.log(len(vals)) + 1e-12
-
-
 class TestLinear:
+    @staticmethod
+    def layer(weight, bias):
+        lin = Linear(*weight.shape, np.random.default_rng(0))
+        lin.weight.data, lin.bias.data = weight, bias
+        return lin
+
     def test_identity(self):
         x = Tensor(np.arange(6.0).reshape(2, 3))
-        w = Parameter(np.eye(3))
-        b = Parameter(np.zeros(3))
-        out = ad.linear(x, w, b)
+        out = self.layer(np.eye(3), np.zeros(3))(x)
         assert np.array_equal(out.data, x.data)
 
     def test_zero_weight_gives_bias(self):
         x = Tensor(np.random.default_rng(0).normal(size=(4, 3)))
-        w = Parameter(np.zeros((3, 2)))
-        b = Parameter(np.array([1.5, -2.0]))
-        out = ad.linear(x, w, b)
-        assert np.allclose(out.data, np.broadcast_to(b.data, (4, 2)))
+        b = np.array([1.5, -2.0])
+        out = self.layer(np.zeros((3, 2)), b)(x)
+        assert np.allclose(out.data, np.broadcast_to(b, (4, 2)))
 
     def test_matches_naive_triple_loop(self):
         rng = np.random.default_rng(1)
         x = Tensor(rng.normal(size=(3, 4)))
-        w = Parameter(rng.normal(size=(4, 2)))
-        out = ad.linear(x, w, None)
+        w, b = rng.normal(size=(4, 2)), rng.normal(size=2)
+        out = self.layer(w, b)(x)
         ref = np.zeros((3, 2))
         for i in range(3):
             for j in range(2):
+                ref[i, j] = b[j]
                 for k in range(4):
-                    ref[i, j] += x.data[i, k] * w.data[k, j]
+                    ref[i, j] += x.data[i, k] * w[k, j]
         assert np.abs(out.data - ref).max() < 1e-12
 
     def test_shape_mismatch(self):

@@ -179,6 +179,24 @@ class TestErrors:
         assert out == "" and err.startswith("error:")
         assert main(decode_files + ["--alphabet", "abcde"]) == 0
 
+    def test_eval_rejects_dataset_alphabet_of_wrong_size(self, decode_files, tmp_path, capsys):
+        from ctcseq.ctc import Alphabet
+        from ctcseq.data import GenConfig, save_dataset, synthesize
+
+        for letters in ("xyz", "abcde"):
+            save_dataset(synthesize(0, 6, Alphabet(tuple(letters)), GenConfig(frame_size=16)), tmp_path / letters)
+        assert main(["eval", "--ckpt", decode_files[2], "--data", str(tmp_path / "xyz")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert "3 letters" in err and "has 5" in err
+        assert main(["eval", "--ckpt", decode_files[2], "--data", str(tmp_path / "abcde")]) == 0
+
+    def test_synth_rejects_negative_clip_count(self, tmp_path, capsys):
+        assert main(["synth", "--n-clips", "-5", "--out", str(tmp_path / "o")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1 and "n_clips" in err
+        assert not (tmp_path / "o").exists()
+
     def test_decode_rejects_lm_letters_outside_the_alphabet(self, decode_files, tmp_path, capsys):
         from ctcseq.lm import lm_train, save_lm
 
@@ -241,6 +259,19 @@ class TestErrors:
         ("data", "words = xyz", "words use letters 'xyz'"),
         ("data", "channels = 4", "unknown config key"),
         ("data", "signer_disjoint = true", "unknown config key"),
+        ("model", "encoder_layers = -3", "encoder_layers must be >= 0"),
+        # settings that are module constants, as older echoes still carry them
+        ("model", "dropout_encoder = 0.3", "unknown config key"),
+        ("model", "dropout_attention = 0.1", "unknown config key"),
+        ("model", "logit_scale = 8.0", "unknown config key"),
+        ("train", "beta1 = 0.9", "unknown config key"),
+        ("train", "beta2 = 0.999", "unknown config key"),
+        ("train", "eps = 1e-08", "unknown config key"),
+        ("train", "weight_decay = 0.01", "unknown config key"),
+        ("train", "grad_clip = 5.0", "unknown config key"),
+        ("data", "min_frames_per_letter = 2", "unknown config key"),
+        ("data", "background_noise = 0.02", "unknown config key"),
+        ("data", "position_jitter = 1.5", "unknown config key"),
     ])
     def test_bad_config_is_one_error_line(self, tmp_path, capsys, section, line, message):
         cfg = tmp_path / "bad.ini"

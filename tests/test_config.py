@@ -1,0 +1,39 @@
+import dataclasses
+
+import pytest
+
+from ctcseq.config import SECTIONS, default_config, load_config, save_config
+from ctcseq.data import GenConfig
+from ctcseq.model import ModelConfig
+from ctcseq.training import TrainConfig
+
+# every settable key; a new knob, or a constant turned back into one, is an edit here
+KEYS = {
+    "model": {"feat_channels", "feat_grid", "pooled_grid", "embed_dim", "encoder_layers", "heads",
+              "ffn_hidden", "context_window", "num_classes"},
+    "train": {"lr", "epochs", "mel_weight", "flip_prob", "beam_width", "lm_alpha", "lm_order", "seed",
+              "batch_size"},
+    "data": {"frame_size", "min_letters", "max_letters", "max_frames_per_letter", "transition_frames",
+             "glyph_cells", "n_signers", "left_handed_rate", "train_fraction", "dev_fraction", "words"},
+}
+
+
+def test_each_section_has_exactly_its_keys():
+    assert {section: {f.name for f in dataclasses.fields(cls)} for section, cls in SECTIONS.items()} == KEYS
+    assert sum(map(len, KEYS.values())) == 29
+
+
+@pytest.mark.parametrize("configs", [
+    default_config(),
+    {
+        "model": ModelConfig(feat_grid=(6, 5), pooled_grid=(3, 2), encoder_layers=0, context_window=0,
+                             num_classes=3),
+        "train": TrainConfig(lr=3.7e-4, seed=-3, epochs=2, flip_prob=0.0, lm_alpha=1.0),
+        "data": GenConfig(frame_size=24, words=("abc", "cab", "b"), left_handed_rate=0.5,
+                          train_fraction=0.6, dev_fraction=0.25),
+    },
+], ids=["defaults", "non-default"])
+def test_save_then_load_gives_the_same_configs(tmp_path, configs):
+    path = tmp_path / "echo.ini"
+    save_config(configs, path)
+    assert load_config(path) == configs

@@ -425,10 +425,11 @@ class TestCheckpoints:
         lambda m: {**m, "version": 2},
         lambda m: {**m, "model_config": {**m["model_config"], "heads": 2.0}},
         lambda m: {**m, "model_config": {**m["model_config"], "feat_grid": [6]}},
+        lambda m: {**m, "model_config": {**m["model_config"], "logit_scale": 8.0}},
     ], ids=["not-an-object", "no-payload-bytes", "no-params", "unknown-config-key", "entry-without-shape",
             "params-not-a-list", "string-offset", "huge-offset", "negative-offset", "offset-past-payload",
             "list-name", "unknown-name", "wrong-shape", "missing-param", "version-2", "float-heads",
-            "one-entry-grid"])
+            "one-entry-grid", "logit-scale-key"])
     def test_malformed_manifest_rejected_naming_the_file(self, tmp_path, edit):
         path = tmp_path / "odd.ckpt"
         save_checkpoint(Recognizer(TOY, seed=0), path)

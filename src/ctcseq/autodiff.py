@@ -331,44 +331,47 @@ def log_softmax(logits, axis: int = -1) -> Tensor:
 
 
 def conv2d(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D convolution, NCHW layout, square stride/padding.
-
-    x: (N, Cin, H, W); weight: (Cout, Cin, kh, kw); bias: (Cout,).
-    """
+    """2-D convolution, channel-major: x (Cin, N, H, W), weight (Cout, Cin, kh, kw) and bias
+    (Cout,) give (Cout, N, OH, OW), the next layer's input layout; square stride/padding."""
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
-    n, cin, h, w = x.shape
+    cin, n, h, w = x.shape
     cout, cin_w, kh, kw = weight.shape
     if cin != cin_w:
         raise ValueError(f"conv2d channel mismatch: input {cin}, weight {cin_w}")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    hp, wp = xp.shape[2], xp.shape[3]
-    oh = (hp - kh) // stride + 1
-    ow = (wp - kw) // stride + 1
+    hp, wp = h + 2 * padding, w + 2 * padding
+    oh, ow = (hp - kh) // stride + 1, (wp - kw) // stride + 1
     if oh <= 0 or ow <= 0:
         raise ValueError(f"conv2d input {h}x{w} too small for kernel {kh}x{kw}")
 
-    # im2col in NHWC: one strided copy plus one matmul each direction
-    wd = weight.data
-    wmat = wd.reshape(cout, cin * kh * kw)
-    xph = np.ascontiguousarray(xp.transpose(0, 2, 3, 1))
-    win = np.lib.stride_tricks.sliding_window_view(xph, (kh, kw), axis=(1, 2))
-    cols = win[:, ::stride, ::stride].reshape(n * oh * ow, cin * kh * kw)
-    out_data = np.ascontiguousarray((cols @ wmat.T).reshape(n, oh, ow, cout).transpose(0, 3, 1, 2))
-    out_data += bias.data[None, :, None, None]
+    # transposed im2col, one strided copy per tap: row (c, i, j) is channel c at tap (i, j)
+    xp = np.zeros((cin, n, hp, wp))
+    xp[:, :, padding : padding + h, padding : padding + w] = x.data
+    cols = np.empty((cin, kh * kw, n, oh, ow))
+    for k, (i, j) in enumerate(np.ndindex(kh, kw)):
+        cols[:, k] = xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
+    cols = cols.reshape(cin * kh * kw, n * oh * ow)
+    wmat = weight.data.reshape(cout, -1)
+    out_data = (wmat @ cols).reshape(cout, n, oh, ow)
+    out_data += bias.data[:, None, None, None]
 
     def vjp(g):
-        gmat = g.transpose(0, 2, 3, 1).reshape(n * oh * ow, cout)
-        gw = (gmat.T @ cols).reshape(cout, cin, kh, kw) if weight.requires_grad else None
-        gx = None
-        if x.requires_grad:
-            gcols = (gmat @ wmat).reshape(n, oh, ow, cin, kh, kw)
-            gxph = np.zeros((n, hp, wp, cin))
-            for i in range(kh):
-                for j in range(kw):
-                    gxph[:, i : i + stride * oh : stride, j : j + stride * ow : stride, :] += gcols[:, :, :, :, i, j]
-            gxp = gxph.transpose(0, 3, 1, 2)
-            gx = gxp[:, :, padding : padding + h, padding : padding + w] if padding else gxp
-        return gx, gw, g.sum(axis=(0, 2, 3))
+        gmat = g.reshape(cout, -1)
+        gw = (gmat @ cols.T).reshape(weight.shape) if weight.requires_grad else None
+        # per-frame sums added frame after frame: the order, and so the bits, of an NCHW sum
+        gb = np.cumsum(g.reshape(cout, n, -1).sum(axis=2), axis=1)[:, -1]
+        if not x.requires_grad:
+            return None, gw, gb
+        if stride == 1:  # flat shift: on the padded grid, tap (i, j) is one run at i * wp + j
+            gmat = np.zeros((cout, n, hp, wp))
+            gmat[:, :, :oh, :ow] = g
+        gcols = (wmat.T @ gmat.reshape(cout, -1)).reshape(cin, kh * kw, -1)
+        gxp, span = np.zeros((cin, n, hp, wp)), n * hp * wp - (kh - 1) * wp - (kw - 1)
+        for k, (i, j) in enumerate(np.ndindex(kh, kw)):
+            if stride == 1:
+                gxp.reshape(cin, -1)[:, i * wp + j : i * wp + j + span] += gcols[:, k, :span]
+            else:
+                gxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += gcols[:, k].reshape(cin, n, oh, ow)
+        return gxp[:, :, padding : padding + h, padding : padding + w], gw, gb
 
     return _node(out_data, (x, weight, bias), vjp)
 

@@ -13,6 +13,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import decoder as dec
 from .autodiff import no_grad
 from .config import default_config, load_config, save_config
@@ -103,6 +105,10 @@ def _cmd_decode(args) -> int:
     letters = Alphabet(tuple(args.alphabet))
     _check_letters(model, letters, "--alphabet")
     frames = read_tensor(args.clip)
+    if frames.ndim != 4 or frames.shape[0] < 1 or frames.shape[1] != 3:
+        raise ValueError(f"clip {args.clip} has shape {frames.shape}, not (T >= 1, 3, H, W)")
+    if not np.isfinite(frames).all():
+        raise ValueError(f"clip {args.clip} holds non-finite values")
     with no_grad():
         dist = forward_frames(model, frames)
     lm = load_lm(args.lm) if args.lm else None

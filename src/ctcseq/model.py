@@ -179,7 +179,7 @@ def adaptive_pool(x: Tensor, out_grid: tuple[int, int]) -> Tensor:
 
 
 class FeatureExtractor(Module):
-    """Four-layer strided conv stack mapping RGB frames to D x H x W maps."""
+    """Four-layer strided conv stack, run channel-major, from (T, 3, H, W) RGB frames to (T, D, gh, gw) maps."""
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         d = cfg.feat_channels
@@ -190,16 +190,13 @@ class FeatureExtractor(Module):
         self.grid = cfg.feat_grid
 
     def __call__(self, frames: Tensor) -> Tensor:
-        x = ad.relu(self.conv1(frames))
-        x = ad.relu(self.conv2(x))
-        x = ad.relu(self.conv3(x))
-        x = ad.relu(self.conv4(x))
+        x = ad.transpose(frames, (1, 0, 2, 3))
+        for conv in (self.conv1, self.conv2, self.conv3, self.conv4):
+            x = ad.relu(conv(x))
         if x.shape[2] < self.grid[0] or x.shape[3] < self.grid[1]:
-            raise ValueError(
-                f"input frames too small: conv output {x.shape[2]}x{x.shape[3]} "
-                f"below feature grid {self.grid[0]}x{self.grid[1]}"
-            )
-        return adaptive_pool(x, self.grid)
+            raise ValueError(f"input frames too small: conv output {x.shape[2]}x{x.shape[3]} "
+                             f"below feature grid {self.grid[0]}x{self.grid[1]}")
+        return adaptive_pool(ad.transpose(x, (1, 0, 2, 3)), self.grid)
 
 
 class SpatialAttention(Module):
@@ -458,6 +455,8 @@ def load_checkpoint(path) -> Recognizer:
         if type(offset) is not int or not 0 <= offset <= len(payload) - 8 * p.data.size:
             raise ValueError(f"offset {offset!r} of {name!r} in {path} is outside the {len(payload)}-byte payload")
         arr = np.frombuffer(payload, dtype="<f8", count=p.data.size, offset=offset).reshape(shape)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"non-finite value in parameter {name!r} of checkpoint {path}")
         p.data = arr.astype(np.float64)
         seen.add(name)
     missing = set(params) - seen

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conv_reference import direct_conv2d, direct_conv2d_vjp
 from ctcseq import autodiff as ad
 from ctcseq.autodiff import (
     Parameter,
@@ -136,11 +137,63 @@ class TestFiniteDifferenceCheck:
         assert np.allclose(w.grad, 0.0)
 
 
+class TestConv2dOracle:
+    """conv2d against the nested-loop direct convolution, forward and vjp;
+    conv2d is channel-major, the oracle NCHW."""
+
+    CASES = [
+        # n, cin, cout, h, w, stride
+        (1, 1, 2, 7, 5, 1),
+        (3, 3, 4, 7, 5, 1),
+        (1, 3, 2, 7, 5, 2),
+        (3, 1, 4, 7, 5, 2),
+        (3, 3, 4, 6, 6, 2),
+        (1, 1, 3, 5, 7, 1),
+        (3, 3, 2, 8, 9, 2),
+    ]
+
+    @staticmethod
+    def operands(n, cin, cout, h, w, seed):
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=(n, cin, h, w)), rng.normal(size=(cout, cin, 3, 3)), rng.normal(size=cout)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_forward_matches_direct_convolution(self, case):
+        n, cin, cout, h, w, stride = case
+        x, wt, b = self.operands(n, cin, cout, h, w, seed=sum(case))
+        out = ad.conv2d(x.transpose(1, 0, 2, 3), wt, b, stride=stride, padding=1)
+        want = direct_conv2d(x, wt, b, stride, 1)
+        assert out.shape == (cout, n) + want.shape[2:]
+        assert np.allclose(out.data.transpose(1, 0, 2, 3), want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_vjp_matches_direct_convolution(self, case):
+        n, cin, cout, h, w, stride = case
+        x, wt, b = self.operands(n, cin, cout, h, w, seed=sum(case) + 1)
+        xp, wp, bp = Parameter(x.transpose(1, 0, 2, 3)), Parameter(wt), Parameter(b)
+        out = ad.conv2d(xp, wp, bp, stride=stride, padding=1)
+        g = np.random.default_rng(sum(case)).normal(size=out.shape)
+        backward(out, grad=g)
+        gx, gw, gb = direct_conv2d_vjp(x, wt, g.transpose(1, 0, 2, 3), stride, 1)
+        assert np.allclose(xp.grad.transpose(1, 0, 2, 3), gx, rtol=0.0, atol=1e-12)
+        assert np.allclose(wp.grad, gw, rtol=0.0, atol=1e-12)
+        assert np.allclose(bp.grad, gb, rtol=0.0, atol=1e-12)
+
+    def test_unpadded_and_rejected_shapes(self):
+        x, wt, b = self.operands(2, 3, 2, 7, 5, seed=0)
+        out = ad.conv2d(x.transpose(1, 0, 2, 3), wt, b, stride=1, padding=0)
+        assert np.allclose(out.data.transpose(1, 0, 2, 3), direct_conv2d(x, wt, b, 1, 0), rtol=0.0, atol=1e-12)
+        with pytest.raises(ValueError, match="channel mismatch"):
+            ad.conv2d(x.transpose(1, 0, 2, 3), wt[:, :2], b)
+        with pytest.raises(ValueError, match="too small"):
+            ad.conv2d(np.zeros((3, 1, 2, 2)), wt, b)
+
+
 class TestOpGradients:
     @pytest.mark.parametrize("seed", range(6))
     def test_conv2d(self, seed):
         rng = np.random.default_rng(seed)
-        x = Parameter(rng.normal(size=(2, 2, 6, 6)))
+        x = Parameter(rng.normal(size=(2, 3, 6, 5)))  # channel-major: (Cin, N, H, W)
         w = Parameter(rng.normal(size=(3, 2, 3, 3)) * 0.4)
         b = Parameter(rng.normal(size=3) * 0.1)
         stride = 1 + seed % 2

@@ -168,6 +168,33 @@ class TestErrors:
         write_tensor(clip, np.random.default_rng(0).random((4, 3, 16, 16)))
         return ["decode", "--ckpt", str(ckpt), "--clip", str(clip)]
 
+    @pytest.mark.parametrize("shape, fill", [((4, 16, 16), 0.5), ((0, 3, 16, 16), 0.5), ((4, 3, 16, 16), float("nan"))],
+                             ids=["rank-3", "zero-frames", "all-nan"])
+    def test_decode_rejects_malformed_clip_naming_the_file(self, decode_files, shape, fill, capsys):
+        import numpy as np
+
+        from ctcseq.data import write_tensor
+
+        write_tensor(Path(decode_files[4]), np.full(shape, fill))
+        assert main(decode_files) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert "clip.tnsr" in err
+
+    def test_eval_rejects_non_finite_checkpoint(self, decode_files, tmp_path, capsys):
+        from ctcseq.ctc import Alphabet
+        from ctcseq.data import GenConfig, save_dataset, synthesize
+
+        ckpt = Path(decode_files[2])
+        raw = bytearray(ckpt.read_bytes())
+        raw[-8:] = bytes.fromhex("000000000000f87f")  # a little-endian float64 NaN
+        ckpt.write_bytes(bytes(raw))
+        save_dataset(synthesize(0, 6, Alphabet(tuple("abcde")), GenConfig(frame_size=16)), tmp_path / "data")
+        assert main(["eval", "--ckpt", str(ckpt), "--data", str(tmp_path / "data")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert "non-finite" in err and "m.ckpt" in err
+
     def test_decode_beam_lm_without_lm(self, decode_files, capsys):
         assert main(decode_files + ["--decoder", "beam-lm"]) == 1
         err = capsys.readouterr().err

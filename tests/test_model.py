@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import CORRUPTIONS, write_corrupted
+from conv_reference import direct_conv2d
 from ctcseq.autodiff import Tensor, finite_difference_check
 from ctcseq.data import normalize
 from ctcseq.losses import combined_loss
 from ctcseq.model import (
     ModelConfig,
     Recognizer,
+    adaptive_pool,
     apply_attention,
     causal_mask,
     load_checkpoint,
@@ -75,6 +77,20 @@ class TestFeatureExtractor:
         model = Recognizer(TOY, seed=0)
         with pytest.raises(ValueError):
             model.extractor(Tensor(np.zeros((1, 3, 8, 8))))
+
+    def test_matches_direct_relu_stack_then_pool(self):
+        cfg = ModelConfig(feat_channels=4, feat_grid=(3, 2), pooled_grid=(2, 2), embed_dim=8, num_classes=4)
+        model = Recognizer(cfg, seed=3)
+        rng = np.random.default_rng(3)
+        frames = x = rng.random((3, 3, 14, 11))
+        for conv in (model.extractor.conv1, model.extractor.conv2, model.extractor.conv3, model.extractor.conv4):
+            conv.bias.data = rng.normal(0.0, 0.1, size=4)
+            x = np.maximum(direct_conv2d(x, conv.weight.data, conv.bias.data, conv.stride, conv.padding), 0.0)
+        assert x.shape == (3, 4, 4, 3)
+        want = adaptive_pool(Tensor(x), cfg.feat_grid).data
+        out = model.extractor(Tensor(frames))
+        assert out.shape == (3, 4, 3, 2)
+        assert np.allclose(out.data, want, rtol=0.0, atol=1e-12)
 
 
 class TestSpatialAttention:
@@ -406,6 +422,19 @@ class TestCheckpoints:
             path.write_bytes(raw[:cut])
             with pytest.raises(ValueError, match="cut.ckpt"):
                 load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_rejected_naming_file_and_parameter(self, tmp_path, value):
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(Recognizer(TOY, seed=0), path)
+        raw = bytearray(path.read_bytes())
+        end = 16 + int.from_bytes(raw[8:16], "little")
+        entry = next(e for e in json.loads(raw[16:end])["params"] if e["name"] == "refiner.w_k")
+        at = end + entry["offset"] + 8 * 5
+        raw[at : at + 8] = np.float64(value).tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=r"non-finite.*'refiner\.w_k'.*bad\.ckpt"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("edit", [
         lambda m: [m],

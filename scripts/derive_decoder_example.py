@@ -12,9 +12,9 @@ every greedy-compatible argmax pattern maps out the global optimum.
 Running this shows the ceiling: the best construction reaches posterior
 9/16, via two letter/blank frames tied at one half feeding a frame with a
 four-way tie whose argmax resolves to the competing first letter by the
-lowest-index rule. The frozen example in
-ctcseq.decoder.greedy_beam_disagreement_example sits just under that
-optimum (ties that must break toward blank are backed off by 1e-4).
+lowest-index rule. The frozen example, greedy_beam_disagreement_example
+in tests/beam_reference.py, sits just under that optimum (ties that must
+break toward blank are backed off by 1e-4).
 """
 from __future__ import annotations
 

@@ -3,8 +3,8 @@
 The graph is built eagerly by the op functions below and walked once in
 reverse topological order by ``backward``. Only the operations the
 recognizer actually composes are provided, each with an explicit
-vector-Jacobian rule, and ``finite_difference_check`` is the oracle used
-to verify every one of them.
+vector-Jacobian rule; ``tests/autodiff_reference.py`` holds the
+finite-difference oracle that verifies every one of them.
 
 Gradients accumulate into ``Parameter.grad`` across backward calls until
 explicitly zeroed, so per-batch accumulation falls out for free. A
@@ -425,34 +425,3 @@ def backward(t: Tensor, grad=None) -> None:
                 grads[id(parent)] = grads[id(parent)] + pg
             else:
                 grads[id(parent)] = pg
-
-
-def finite_difference_check(f, p: Parameter, h: float = 1e-5) -> float:
-    """Max over coordinates of the central-difference gradient error.
-
-    Error per coordinate is |analytic - numeric| / max(1, |analytic|),
-    where numeric = (f(p + h e_i) - f(p - h e_i)) / 2h. ``f`` must be a
-    deterministic scalar function of ``p``'s current value.
-    """
-    p.zero_grad()
-    out = f()
-    backward(out)
-    analytic = np.zeros_like(p.data) if p.grad is None else p.grad.copy()
-
-    max_err = 0.0
-    flat = p.data.reshape(-1)
-    aflat = analytic.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        with no_grad():
-            fp = f().item()
-        flat[i] = orig - h
-        with no_grad():
-            fm = f().item()
-        flat[i] = orig
-        numeric = (fp - fm) / (2.0 * h)
-        err = abs(aflat[i] - numeric) / max(1.0, abs(aflat[i]))
-        if err > max_err:
-            max_err = err
-    return max_err

@@ -22,7 +22,7 @@ from .ctc import Alphabet
 from .data import load_dataset, read_tensor, save_dataset, synthesize
 from .lm import lm_train, load_lm, save_lm
 from .model import Recognizer, load_checkpoint
-from .training import ablate, evaluate, forward_frames, train
+from .training import TrainingDiverged, ablate, evaluate, forward_frames, train
 
 DEFAULT_LETTERS = "abcde"
 
@@ -62,8 +62,8 @@ def _cmd_train(args) -> int:
     configs["model"] = model_cfg
     out = Path(args.out)
     model = Recognizer(model_cfg, seed=configs["train"].seed)
+    save_config(configs, out / "config.resolved.ini")  # before train(), so a diverged run keeps its echo
     result = train(model, split, configs["train"], out_dir=out)
-    save_config(configs, out / "config.resolved.ini")
     print(f"best dev accuracy {result.best_dev_acc:.4f} at epoch {result.best_epoch}; "
           f"checkpoint at {out / 'best.ckpt'}")
     return 0
@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="default: the [train] seed of --config, else 0")
     p.add_argument("--n-clips", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
@@ -203,7 +203,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, FileNotFoundError, OSError) as exc:
+    except (ValueError, OSError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

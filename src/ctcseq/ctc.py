@@ -1,14 +1,14 @@
-"""CTC probability model: alignments, the collapse map, the exact
-brute-force enumerator for small instances, and the forward-backward loss
-with gradients w.r.t. the producing log-probabilities.
+"""CTC probability model: the alphabet, per-frame distributions, the
+collapse map, and the forward-backward loss with gradients w.r.t. the
+producing log-probabilities.
 
 Blank always occupies the last class index. Frame distributions are stored
-as natural-log probabilities and the lattice runs in the log domain; only
-the brute-force oracles take probability arrays.
+as natural-log probabilities, their one form, and the lattice runs in the
+log domain. The brute-force oracles over probability arrays live beside
+the tests, in ``tests/ctc_reference.py``.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,8 +16,6 @@ import numpy as np
 from .autodiff import Tensor, _node, as_tensor
 
 NEG_INF = float("-inf")
-
-BRUTE_FORCE_LIMIT = 10**7
 
 
 @dataclass(frozen=True)
@@ -101,59 +99,11 @@ def collapse(path, blank: int) -> list[int]:
     return [p for p in out if p != blank]
 
 
-def alignment_probability(probs, path) -> float:
-    """Probability of one frame-by-frame alignment (product of lookups)
-    through a T x C' probability array."""
-    probs = np.asarray(probs, dtype=np.float64)
-    t, cprime = probs.shape
-    path = list(path)
-    if len(path) != t:
-        raise ValueError(f"path length {len(path)} != frame count {t}")
-    if any(not 0 <= p < cprime for p in path):
-        raise ValueError("path entries must be valid class indices")
-    with np.errstate(divide="ignore"):
-        logs = np.log(probs[np.arange(t), path])
-    return float(np.exp(logs.sum()))
-
-
 def validate_target(target, num_letters: int) -> list[int]:
     target = list(target)
     if any(not 0 <= l < num_letters for l in target):
         raise ValueError("target labels must be letter indices (blank excluded)")
     return target
-
-
-def sequence_probability_bruteforce(probs, target) -> float:
-    """Eq.-by-enumeration oracle: sums every alignment that collapses to
-    ``target``. Refuses instances with more than ``BRUTE_FORCE_LIMIT`` paths.
-    """
-    probs = np.asarray(probs, dtype=np.float64)
-    t, cprime = probs.shape
-    blank = cprime - 1
-    target = validate_target(target, blank)
-    if cprime**t > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"brute-force enumeration refused: {cprime}**{t} paths exceeds {BRUTE_FORCE_LIMIT}")
-    want = tuple(target)
-    total = 0.0
-    for path in itertools.product(range(cprime), repeat=t):
-        if tuple(collapse(path, blank)) == want:
-            total += alignment_probability(probs, path)
-    return total
-
-
-def collapse_partition(probs) -> dict[tuple[int, ...], float]:
-    """Brute-force probability of every label sequence reachable from a
-    T x C' probability array."""
-    probs = np.asarray(probs, dtype=np.float64)
-    t, cprime = probs.shape
-    blank = cprime - 1
-    if cprime**t > BRUTE_FORCE_LIMIT:
-        raise ValueError("instance too large for exhaustive partition")
-    table: dict[tuple[int, ...], float] = {}
-    for path in itertools.product(range(cprime), repeat=t):
-        key = tuple(collapse(path, blank))
-        table[key] = table.get(key, 0.0) + alignment_probability(probs, path)
-    return table
 
 
 def _extended_target(target: list[int], blank: int) -> list[int]:

@@ -4,6 +4,10 @@ splitting, and beam search fused with a character n-gram language model.
 All decoders are pure functions of their inputs and deterministic: argmax
 ties break toward the lowest class index, and score ties break toward the
 lexicographically smaller (then shorter) prefix.
+
+The decoders read frame distributions as log-probabilities only. The scalar
+beam search they are checked against, and the hand-derived distribution on
+which greedy and beam search disagree, live in ``tests/beam_reference.py``.
 """
 from __future__ import annotations
 
@@ -176,32 +180,3 @@ def decode(dist, decoder: str, beam_width: int, lm: CharNGramModel | None, alpha
                              f"{''.join(alphabet.letters)!r}")
         return lm_fused_beam_decode(dist, beam_width, lm, alpha, alphabet)
     raise ValueError(f"unknown decoder {decoder!r}")
-
-
-def greedy_beam_disagreement_example() -> tuple[np.ndarray, Alphabet]:
-    """A 5-frame distribution where greedy and beam search disagree.
-
-    The per-frame argmax path collapses to "oat" while the full posterior
-    over alignments favors "cat" (mass just under 9/16), so beam search
-    with a modest width recovers the higher-mass sequence that greedy
-    misses. The values sit at the optimum found by
-    scripts/derive_decoder_example.py: two near-tied letter/blank frames
-    feed a four-way tied frame whose argmax resolves to "o" by the
-    lowest-index rule, and 9/16 is the largest posterior any 5-frame
-    distribution with this greedy output can give the beam's answer.
-    """
-    alphabet = Alphabet(("o", "c", "a", "t"))
-    o, c, a, t = alphabet.encode("ocat")
-    blank = alphabet.blank_index
-    probs = np.zeros((5, 5))
-    probs[0, c] = 0.4999
-    probs[0, blank] = 0.5001
-    probs[1, c] = 0.4999
-    probs[1, blank] = 0.5001
-    probs[2, o] = 0.25
-    probs[2, c] = 0.25
-    probs[2, a] = 0.25
-    probs[2, blank] = 0.25
-    probs[3, a] = 1.0
-    probs[4, t] = 1.0
-    return probs, alphabet

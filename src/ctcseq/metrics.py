@@ -44,12 +44,12 @@ def edit_alignment(pred, truth) -> tuple[int, int, int]:
 
 
 def letter_accuracy(pred, truth) -> float:
-    """max(0, 1 - (S + D + I) / N); the clamp keeps accuracy nonnegative."""
+    """max(0, 1 - (S + D + I) / N) for one clip, as ``evaluate_clips``
+    scores it; the clamp keeps accuracy nonnegative."""
     truth = list(truth)
     if not truth:
         raise ValueError("letter accuracy is undefined for an empty reference")
-    s, d, i = edit_alignment(pred, truth)
-    return max(0.0, 1.0 - (s + d + i) / len(truth))
+    return evaluate_clips([("", pred, truth)]).mean_letter_accuracy
 
 
 @dataclass

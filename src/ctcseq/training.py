@@ -108,7 +108,8 @@ def clip_grad_norm(params: list[Parameter], max_norm: float) -> float:
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a batch produces a non-finite loss; carries a dump."""
+    """Raised when a batch produces a non-finite loss or gradient; carries a
+    dump of the batch."""
 
     def __init__(self, message: str, dump: str):
         super().__init__(message)
@@ -159,9 +160,14 @@ def train(model: Recognizer, split: DatasetSplit, cfg: TrainConfig,
     k of K = epochs * ceil(len(train) / batch_size) optimizer steps it is
     ``cfg.lr * (1 + cos(pi * k / K)) / 2``, so ``cfg.lr`` is the peak.
 
-    A non-finite loss aborts with a diagnostic dump of the offending batch.
-    Clips whose target cannot be aligned (too few frames) are skipped with
-    a warning instead of poisoning the batch.
+    A non-finite loss or gradient aborts with ``TrainingDiverged`` and a
+    diagnostic dump of the offending batch, before any weight takes the
+    step. Clips whose target cannot be aligned (too few frames) are skipped
+    with a warning instead of poisoning the batch.
+
+    ``TrainResult.model`` is ``model`` itself, trained in place, so it holds
+    the last epoch's weights; ``out_dir/best.ckpt`` holds the best-dev
+    epoch's, ``best_epoch``.
     """
     opt = AdamW(model.parameters(), lr=cfg.lr, weight_decay=WEIGHT_DECAY)
     out = Path(out_dir) if out_dir is not None else None
@@ -194,12 +200,7 @@ def train(model: Recognizer, split: DatasetSplit, cfg: TrainConfig,
                     log.warning("skipping clip %d: target needs more frames than available", int(j))
                     continue
                 if not math.isfinite(report.total):
-                    dump = _diagnostic_dump(batch_info, split)
-                    if out is not None:
-                        (out / "diagnostic_dump.txt").write_text(dump, encoding="utf-8")
-                    raise TrainingDiverged(
-                        f"non-finite loss at epoch {epoch}, clip {int(j)}", dump
-                    )
+                    raise _diverged(f"non-finite loss at epoch {epoch}, clip {int(j)}", batch_info, split, out)
                 nodes.append(report.node)
                 epoch_losses.append(report.total)
             if not nodes:
@@ -208,8 +209,11 @@ def train(model: Recognizer, split: DatasetSplit, cfg: TrainConfig,
             for node in nodes[1:]:
                 total = total + node
             total = total * (1.0 / len(nodes))
-            backward(total)
-            clip_grad_norm(opt.params, GRAD_CLIP)
+            with np.errstate(over="ignore", invalid="ignore"):  # the norm check below reports these
+                backward(total)
+            if not math.isfinite(clip_grad_norm(opt.params, GRAD_CLIP)):
+                clips = ", ".join(str(idx) for idx, _, _ in batch_info)
+                raise _diverged(f"non-finite gradient at epoch {epoch}, batch of clips {clips}", batch_info, split, out)
             opt.lr = cfg.lr * 0.5 * (1.0 + math.cos(math.pi * opt.t / total_steps))
             opt.step()
             opt.zero_grad()
@@ -232,7 +236,9 @@ def train(model: Recognizer, split: DatasetSplit, cfg: TrainConfig,
                        best_epoch=best_epoch, skipped_clips=skipped)
 
 
-def _diagnostic_dump(batch_info, split: DatasetSplit) -> str:
+def _diverged(message: str, batch_info, split: DatasetSplit, out: Path | None) -> TrainingDiverged:
+    """The divergence error for the batch so far, its dump written to
+    ``out/diagnostic_dump.txt`` when there is an ``out``."""
     lines = ["offending batch:"]
     for idx, clip, report in batch_info:
         word = split.alphabet.decode(clip.target)
@@ -240,7 +246,11 @@ def _diagnostic_dump(batch_info, split: DatasetSplit) -> str:
             f"  clip {idx}: target={word!r} frames={clip.num_frames} "
             f"handedness={clip.handedness} ctc={report.ctc!r} mel={report.mel!r}"
         )
-    return "\n".join(lines) + "\n"
+    dump = "\n".join(lines) + "\n"
+    if out is not None:
+        (out / "diagnostic_dump.txt").write_text(dump, encoding="utf-8")
+        message += f"; diagnostic dump in {out / 'diagnostic_dump.txt'}"
+    return TrainingDiverged(message, dump)
 
 
 # ---------------------------------------------------------------------------

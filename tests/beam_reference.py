@@ -1,7 +1,8 @@
 """The scalar prefix beam search that ``ctcseq.decoder.beam_search``
 replaced, kept unchanged as the oracle for the array version: one Python
 loop over beams and letters per frame, candidates merged through a dict in
-insertion order, one ``cond_prob`` call per fused candidate.
+insertion order, one ``cond_prob`` call per fused candidate. Also the
+hand-derived 5-frame distribution on which greedy and beam search disagree.
 """
 from __future__ import annotations
 
@@ -118,3 +119,32 @@ def finalize(beams: dict, lm, alpha: float, alphabet) -> list[BeamHypothesis]:
         BeamHypothesis(prefix, beams[prefix][0], beams[prefix][1], score)
         for score, prefix in items
     ]
+
+
+def greedy_beam_disagreement_example() -> tuple[np.ndarray, Alphabet]:
+    """A 5-frame distribution where greedy and beam search disagree.
+
+    The per-frame argmax path collapses to "oat" while the full posterior
+    over alignments favors "cat" (mass just under 9/16), so beam search
+    with a modest width recovers the higher-mass sequence that greedy
+    misses. The values sit at the optimum found by
+    scripts/derive_decoder_example.py: two near-tied letter/blank frames
+    feed a four-way tied frame whose argmax resolves to "o" by the
+    lowest-index rule, and 9/16 is the largest posterior any 5-frame
+    distribution with this greedy output can give the beam's answer.
+    """
+    alphabet = Alphabet(("o", "c", "a", "t"))
+    o, c, a, t = alphabet.encode("ocat")
+    blank = alphabet.blank_index
+    probs = np.zeros((5, 5))
+    probs[0, c] = 0.4999
+    probs[0, blank] = 0.5001
+    probs[1, c] = 0.4999
+    probs[1, blank] = 0.5001
+    probs[2, o] = 0.25
+    probs[2, c] = 0.25
+    probs[2, a] = 0.25
+    probs[2, blank] = 0.25
+    probs[3, a] = 1.0
+    probs[4, t] = 1.0
+    return probs, alphabet

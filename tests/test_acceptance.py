@@ -15,18 +15,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ctcseq.autodiff import finite_difference_check
-from ctcseq.ctc import (
-    Alphabet,
-    collapse_partition,
-    ctc_loss,
-    sequence_probability_bruteforce,
-)
+from autodiff_reference import finite_difference_check
+from beam_reference import greedy_beam_disagreement_example
+from ctc_reference import collapse_partition, sequence_probability_bruteforce
+from ctcseq.ctc import Alphabet, ctc_loss
 from ctcseq.data import GenConfig, normalize, synthesize
 from ctcseq.decoder import (
     beam_decode,
     beam_search,
-    greedy_beam_disagreement_example,
     greedy_decode,
     lm_fused_beam_decode,
 )

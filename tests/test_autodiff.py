@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from autodiff_reference import finite_difference_check
 from conv_reference import direct_conv2d, direct_conv2d_vjp
 from ctcseq import autodiff as ad
 from ctcseq.autodiff import (
     Parameter,
     Tensor,
     backward,
-    finite_difference_check,
     softmax,
 )
 from ctcseq.model import Linear

@@ -57,6 +57,14 @@ class TestSynth:
         assert "[model]" in echo and "[train]" in echo and "[data]" in echo
         assert "frame_size = 32" in echo
 
+    def test_config_seed_is_the_default(self, tmp_path, cfg_file, capsys):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["synth", "--n-clips", "6", "--out", str(a), "--config", cfg_file]) == 0
+        assert "seed 7)" in capsys.readouterr().out
+        assert main(["synth", "--seed", "7", "--n-clips", "6", "--out", str(b), "--config", cfg_file]) == 0
+        assert dir_digest(a) == dir_digest(b)
+        assert "seed = 7\n" in (a / "config.resolved.ini").read_text()
+
     def test_env_seed_override(self, tmp_path, cfg_file, monkeypatch):
         a, b = tmp_path / "a", tmp_path / "b"
         main(["synth", "--seed", "5", "--n-clips", "6", "--out", str(a), "--config", cfg_file])
@@ -217,6 +225,19 @@ class TestErrors:
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
         assert "3 letters" in err and "has 5" in err
         assert main(["eval", "--ckpt", decode_files[2], "--data", str(tmp_path / "abcde")]) == 0
+
+    def test_train_divergence_is_one_error_line(self, tmp_path, capsys):
+        cfg = tmp_path / "diverge.ini"
+        cfg.write_text(FAST_CONFIG.replace("[train]\n", "[train]\nlr = 1e6\n"))
+        data, run = tmp_path / "data", tmp_path / "run"
+        assert main(["synth", "--n-clips", "40", "--out", str(data), "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        code = main(["train", "--data", str(data), "--config", str(cfg), "--out", str(run)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error: non-finite gradient at epoch 1") and err.count("\n") == 1
+        assert (run / "diagnostic_dump.txt").read_text().startswith("offending batch:")
+        assert "lr = 1000000.0\n" in (run / "config.resolved.ini").read_text()
 
     def test_synth_rejects_negative_clip_count(self, tmp_path, capsys):
         assert main(["synth", "--n-clips", "-5", "--out", str(tmp_path / "o")]) == 1

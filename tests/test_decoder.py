@@ -6,17 +6,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ctcseq.ctc import Alphabet, collapse_partition, sequence_probability_bruteforce
+from ctc_reference import collapse_partition, sequence_probability_bruteforce
+from ctcseq.ctc import Alphabet
 from ctcseq.decoder import (
     beam_decode,
     beam_search,
     decode,
-    greedy_beam_disagreement_example,
     greedy_decode,
     lm_fused_beam_decode,
 )
 from ctcseq.lm import lm_train
-from beam_reference import reference_beam_search
+from beam_reference import greedy_beam_disagreement_example, reference_beam_search
 from conftest import dist_of
 
 

@@ -1,6 +1,5 @@
 """Source hygiene: no unused top-level import in the package, the tests or
-the scripts (``src/ctcseq/__init__.py`` is exempt: its imports are the
-public re-exports), and no package definition that nothing names."""
+the scripts, and no package definition that nothing names."""
 import ast
 import re
 from collections import Counter
@@ -10,10 +9,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 FILES = sorted(
-    path
-    for folder in ("src/ctcseq", "tests", "scripts")
-    for path in (ROOT / folder).glob("*.py")
-    if path.relative_to(ROOT).as_posix() != "src/ctcseq/__init__.py"
+    path for folder in ("src/ctcseq", "tests", "scripts") for path in (ROOT / folder).glob("*.py")
 )
 PACKAGE = sorted((ROOT / "src/ctcseq").glob("*.py"))
 CALLERS = PACKAGE + sorted(

@@ -57,6 +57,10 @@ class TestLetterAccuracy:
         assert 0.0 <= acc <= 1.0
         assert (acc == 1.0) == (pred == truth)
 
+    @given(seqs, st.text(alphabet="abc", min_size=1, max_size=8).map(list))
+    def test_is_the_clamped_edit_rate(self, pred, truth):
+        assert letter_accuracy(pred, truth) == max(0.0, 1.0 - sum(edit_alignment(pred, truth)) / len(truth))
+
 
 class TestEvalReport:
     def test_aggregates_and_serialization(self):

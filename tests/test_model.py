@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import CORRUPTIONS, write_corrupted
+from autodiff_reference import finite_difference_check
 from conv_reference import direct_conv2d
-from ctcseq.autodiff import Tensor, finite_difference_check
+from ctcseq.autodiff import Tensor
 from ctcseq.data import normalize
 from ctcseq.losses import combined_loss
 from ctcseq.model import (

@@ -1,3 +1,7 @@
+import json
+import struct
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -157,6 +161,34 @@ class TestTrainLoop:
             train(Recognizer(SMALL_MODEL, seed=0), tiny_split, cfg, out_dir=tmp_path)
         assert "offending batch" in exc.value.dump
         assert (tmp_path / "diagnostic_dump.txt").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_real_divergence_aborts_before_the_step(self, tmp_path):
+        split = synthesize(0, 40, ALPHABET, GenConfig(frame_size=32, n_signers=5))
+        model = Recognizer(SMALL_MODEL, seed=0)
+        with pytest.raises(TrainingDiverged, match=r"non-finite gradient at epoch 1, batch of clips \d") as exc:
+            train(model, split, TrainConfig(lr=1e6, epochs=3, batch_size=4), out_dir=tmp_path)
+        assert "diagnostic_dump.txt" in str(exc.value)
+        assert exc.value.dump.startswith("offending batch:")
+        assert (tmp_path / "diagnostic_dump.txt").read_text() == exc.value.dump
+        assert all(np.isfinite(p.data).all() for p in model.parameters())
+
+    def test_malformed_clip_keeps_its_value_error(self, tiny_split):
+        small = replace(tiny_split.train[0], frames=tiny_split.train[0].frames[:, :, :8, :8])
+        split = replace(tiny_split, train=[small])
+        with pytest.raises(ValueError, match="input frames too small"):
+            train(Recognizer(SMALL_MODEL, seed=0), split, TrainConfig(epochs=1, batch_size=1))
+
+    def test_result_is_the_trained_argument_and_ckpt_the_best_epoch(self, tiny_split, tmp_path):
+        model = Recognizer(SMALL_MODEL, seed=4)
+        result = train(model, tiny_split, TrainConfig(epochs=3, seed=4, batch_size=4), out_dir=tmp_path)
+        assert result.model is model
+        raw = (tmp_path / "best.ckpt").read_bytes()
+        (mlen,) = struct.unpack("<Q", raw[8:16])
+        assert json.loads(raw[16 : 16 + mlen])["extra"]["epoch"] == result.best_epoch
+        best = load_checkpoint(tmp_path / "best.ckpt").named_parameters()
+        same = all(np.array_equal(p.data, best[n].data) for n, p in model.named_parameters().items())
+        assert same == (result.best_epoch == 3)
 
     def test_lr_decays_from_peak_towards_zero(self, tiny_split, monkeypatch):
         seen = []

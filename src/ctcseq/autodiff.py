@@ -331,8 +331,8 @@ def log_softmax(logits, axis: int = -1) -> Tensor:
 
 
 def conv2d(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-D convolution, channel-major: x (Cin, N, H, W), weight (Cout, Cin, kh, kw) and bias
-    (Cout,) give (Cout, N, OH, OW), the next layer's input layout; square stride/padding."""
+    """relu(2-D convolution), channel-major: x (Cin, N, H, W), weight (Cout, Cin, kh, kw) and
+    bias (Cout,) give (Cout, N, OH, OW), the next layer's input layout; square stride/padding."""
     x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     cin, n, h, w = x.shape
     cout, cin_w, kh, kw = weight.shape
@@ -353,8 +353,10 @@ def conv2d(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor:
     wmat = weight.data.reshape(cout, -1)
     out_data = (wmat @ cols).reshape(cout, n, oh, ow)
     out_data += bias.data[:, None, None, None]
+    np.maximum(out_data, 0.0, out=out_data)
 
     def vjp(g):
+        g = g * (out_data > 0.0)  # relu(x) > 0 exactly where x > 0
         gmat = g.reshape(cout, -1)
         gw = (gmat @ cols.T).reshape(weight.shape) if weight.requires_grad else None
         # per-frame sums added frame after frame: the order, and so the bits, of an NCHW sum

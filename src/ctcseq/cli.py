@@ -29,7 +29,10 @@ DEFAULT_LETTERS = "abcde"
 
 def _seed_override(seed: int) -> int:
     env = os.environ.get("CTCSEQ_SEED")
-    return int(env) if env else seed
+    try:
+        return int(env) if env else seed
+    except ValueError:
+        raise ValueError(f"CTCSEQ_SEED must be an integer: {env!r}") from None
 
 
 def _load_configs(path: str | None, seed_flag: int | None = None) -> dict:

@@ -106,6 +106,11 @@ def validate_target(target, num_letters: int) -> list[int]:
     return target
 
 
+def min_frames(target) -> int:
+    """The fewest frames that carry ``target``: one per letter, one blank per adjacent repeat."""
+    return len(target) + sum(a == b for a, b in zip(target, target[1:]))
+
+
 def _extended_target(target: list[int], blank: int) -> list[int]:
     ext = [blank]
     for l in target:
@@ -146,23 +151,29 @@ class CtcLossResult:
         return self.loss.item()
 
 
-def _ctc_loss_node(log_probs: Tensor, target: list[int]) -> CtcLossResult:
-    lp = log_probs.data
+def ctc_loss(dist: FrameDistributionSeq, target) -> CtcLossResult:
+    """-ln p(target | dist), differentiable through to the producing logits.
+
+    Repeated letters in the target are handled by the interleaved-blank
+    lattice. Infeasible targets (too few frames) yield +inf with
+    ``feasible=False`` instead of raising, so batch loops can skip them.
+    """
+    target = validate_target(target, dist.blank_index)
+    lp = dist.log_probs.data
     t_total, cprime = lp.shape
     blank = cprime - 1
     ext = _extended_target(target, blank)
     s_total = len(ext)
 
     alpha = _lattice(lp, ext) + lp[:, ext]
-    tail = alpha[-1, s_total - 1]
+    log_p = alpha[-1, s_total - 1]
     if s_total > 1:
-        tail = np.logaddexp(tail, alpha[-1, s_total - 2])
-    if tail == NEG_INF:
+        log_p = np.logaddexp(log_p, alpha[-1, s_total - 2])
+    if log_p == NEG_INF:
         # Target needs more frames than available: flag it, never NaN.
         return CtcLossResult(Tensor(float("inf")), feasible=False)
 
     beta = _lattice(lp[::-1], ext[::-1])[::-1, ::-1]
-    log_p = tail
 
     # Soft-alignment posterior per (frame, class), aggregated over lattice
     # states carrying the same label.
@@ -174,16 +185,5 @@ def _ctc_loss_node(log_probs: Tensor, target: list[int]) -> CtcLossResult:
     def vjp(g):
         return (-np.exp(gamma - log_p) * g,)
 
-    out = _node(np.asarray(-log_p), (log_probs,), vjp)
+    out = _node(np.asarray(-log_p), (dist.log_probs,), vjp)
     return CtcLossResult(out, feasible=True)
-
-
-def ctc_loss(dist: FrameDistributionSeq, target) -> CtcLossResult:
-    """-ln p(target | dist), differentiable through to the producing logits.
-
-    Repeated letters in the target are handled by the interleaved-blank
-    lattice. Infeasible targets (too few frames) yield +inf with
-    ``feasible=False`` instead of raising, so batch loops can skip them.
-    """
-    target = validate_target(target, dist.blank_index)
-    return _ctc_loss_node(dist.log_probs, target)

@@ -100,8 +100,9 @@ class Linear(Module):
 
 
 class Conv2d(Module):
+    """relu(conv) with 3x3 kernels and padding 1; the relu is fused into ``ad.conv2d``."""
+
     def __init__(self, cin: int, cout: int, rng: np.random.Generator, stride: int = 1):
-        # 3x3 kernels with padding 1
         std = math.sqrt(2.0 / (cin * 9))
         self.weight = Parameter(rng.normal(0.0, std, size=(cout, cin, 3, 3)))
         self.bias = Parameter(np.zeros(cout))
@@ -192,7 +193,7 @@ class FeatureExtractor(Module):
     def __call__(self, frames: Tensor) -> Tensor:
         x = ad.transpose(frames, (1, 0, 2, 3))
         for conv in (self.conv1, self.conv2, self.conv3, self.conv4):
-            x = ad.relu(conv(x))
+            x = conv(x)
         if x.shape[2] < self.grid[0] or x.shape[3] < self.grid[1]:
             raise ValueError(f"input frames too small: conv output {x.shape[2]}x{x.shape[3]} "
                              f"below feature grid {self.grid[0]}x{self.grid[1]}")

@@ -2,9 +2,9 @@
 objective, a decoupled-weight-decay adaptive optimizer, best-dev
 checkpointing, and the ablation harness.
 
-Clips are processed one at a time inside each batch (gradients accumulate
-across the batch before a single update), so losses always cover real
-frames only and no padding mask is needed.
+Clips are processed one at a time, so no padding mask is needed: each
+clip's backward runs right after its forward, and the batch's gradients
+accumulate in clip order before a single update.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ import numpy as np
 
 from . import decoder as dec
 from .autodiff import Parameter, backward, no_grad
+from .ctc import min_frames
 from .data import DatasetSplit, SyntheticClip, horizontal_flip, normalize
 from .losses import combined_loss
 from .lm import CharNGramModel, lm_train
@@ -160,10 +161,13 @@ def train(model: Recognizer, split: DatasetSplit, cfg: TrainConfig,
     k of K = epochs * ceil(len(train) / batch_size) optimizer steps it is
     ``cfg.lr * (1 + cos(pi * k / K)) / 2``, so ``cfg.lr`` is the peak.
 
-    A non-finite loss or gradient aborts with ``TrainingDiverged`` and a
-    diagnostic dump of the offending batch, before any weight takes the
-    step. Clips whose target cannot be aligned (too few frames) are skipped
-    with a warning instead of poisoning the batch.
+    Each clip's backward is seeded with 1/n, its share of the mean over the
+    batch's n clips, so at most two clip graphs are alive at once and the
+    weights are bit for bit those of one backward of the batch mean. A
+    non-finite loss or gradient aborts with ``TrainingDiverged`` and a
+    diagnostic dump of the batch so far, before any weight takes the step.
+    Clips with fewer frames than ``min_frames(target)`` are skipped, with a
+    warning, before their forward.
 
     ``TrainResult.model`` is ``model`` itself, trained in place, so it holds
     the last epoch's weights; ``out_dir/best.ckpt`` holds the best-dev
@@ -186,31 +190,28 @@ def train(model: Recognizer, split: DatasetSplit, cfg: TrainConfig,
         epoch_losses: list[float] = []
         for start in range(0, len(order), cfg.batch_size):
             batch_idx = order[start : start + cfg.batch_size]
-            nodes = []
+            batch = [split.train[int(j)] for j in batch_idx]
+            fits = [clip.num_frames >= min_frames(clip.target) for clip in batch]  # the batch mean is over these
             batch_info = []
-            for j in batch_idx:
-                clip = split.train[int(j)]
+            for j, clip, fit in zip(batch_idx, batch, fits):
                 if rng.random() < cfg.flip_prob:
                     clip = horizontal_flip(clip)
-                dist = forward_frames(model, clip.frames, training=True, rng=rng)
-                report = combined_loss(dist, clip.target, cfg.mel_weight)
-                batch_info.append((int(j), clip, report))
-                if not report.feasible:
+                if not fit:
                     skipped += 1
                     log.warning("skipping clip %d: target needs more frames than available", int(j))
                     continue
+                dist = forward_frames(model, clip.frames, training=True, rng=rng)
+                report = combined_loss(dist, clip.target, cfg.mel_weight)
+                batch_info.append((int(j), clip, replace(report, node=None)))
                 if not math.isfinite(report.total):
                     raise _diverged(f"non-finite loss at epoch {epoch}, clip {int(j)}", batch_info, split, out)
-                nodes.append(report.node)
                 epoch_losses.append(report.total)
-            if not nodes:
+                # the graph goes when the next clip's forward rebinds dist and report; freed any
+                # earlier, glibc returns its pages and the next forward faults them in again
+                with np.errstate(over="ignore", invalid="ignore"):  # the norm check below reports these
+                    backward(report.node, np.asarray(1.0 / sum(fits)))
+            if not batch_info:
                 continue
-            total = nodes[0]
-            for node in nodes[1:]:
-                total = total + node
-            total = total * (1.0 / len(nodes))
-            with np.errstate(over="ignore", invalid="ignore"):  # the norm check below reports these
-                backward(total)
             if not math.isfinite(clip_grad_norm(opt.params, GRAD_CLIP)):
                 clips = ", ".join(str(idx) for idx, _, _ in batch_info)
                 raise _diverged(f"non-finite gradient at epoch {epoch}, batch of clips {clips}", batch_info, split, out)

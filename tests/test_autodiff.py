@@ -138,8 +138,8 @@ class TestFiniteDifferenceCheck:
 
 
 class TestConv2dOracle:
-    """conv2d against the nested-loop direct convolution, forward and vjp;
-    conv2d is channel-major, the oracle NCHW."""
+    """conv2d, a relu-fused convolution, against relu of the nested-loop direct
+    convolution, forward and vjp; conv2d is channel-major, the oracle NCHW."""
 
     CASES = [
         # n, cin, cout, h, w, stride
@@ -162,7 +162,7 @@ class TestConv2dOracle:
         n, cin, cout, h, w, stride = case
         x, wt, b = self.operands(n, cin, cout, h, w, seed=sum(case))
         out = ad.conv2d(x.transpose(1, 0, 2, 3), wt, b, stride=stride, padding=1)
-        want = direct_conv2d(x, wt, b, stride, 1)
+        want = np.maximum(direct_conv2d(x, wt, b, stride, 1), 0.0)
         assert out.shape == (cout, n) + want.shape[2:]
         assert np.allclose(out.data.transpose(1, 0, 2, 3), want, rtol=0.0, atol=1e-12)
 
@@ -174,7 +174,8 @@ class TestConv2dOracle:
         out = ad.conv2d(xp, wp, bp, stride=stride, padding=1)
         g = np.random.default_rng(sum(case)).normal(size=out.shape)
         backward(out, grad=g)
-        gx, gw, gb = direct_conv2d_vjp(x, wt, g.transpose(1, 0, 2, 3), stride, 1)
+        g = g.transpose(1, 0, 2, 3) * (direct_conv2d(x, wt, b, stride, 1) > 0.0)  # through the relu
+        gx, gw, gb = direct_conv2d_vjp(x, wt, g, stride, 1)
         assert np.allclose(xp.grad.transpose(1, 0, 2, 3), gx, rtol=0.0, atol=1e-12)
         assert np.allclose(wp.grad, gw, rtol=0.0, atol=1e-12)
         assert np.allclose(bp.grad, gb, rtol=0.0, atol=1e-12)
@@ -182,7 +183,8 @@ class TestConv2dOracle:
     def test_unpadded_and_rejected_shapes(self):
         x, wt, b = self.operands(2, 3, 2, 7, 5, seed=0)
         out = ad.conv2d(x.transpose(1, 0, 2, 3), wt, b, stride=1, padding=0)
-        assert np.allclose(out.data.transpose(1, 0, 2, 3), direct_conv2d(x, wt, b, 1, 0), rtol=0.0, atol=1e-12)
+        want = np.maximum(direct_conv2d(x, wt, b, 1, 0), 0.0)
+        assert np.allclose(out.data.transpose(1, 0, 2, 3), want, rtol=0.0, atol=1e-12)
         with pytest.raises(ValueError, match="channel mismatch"):
             ad.conv2d(x.transpose(1, 0, 2, 3), wt[:, :2], b)
         with pytest.raises(ValueError, match="too small"):

@@ -239,6 +239,13 @@ class TestErrors:
         assert (run / "diagnostic_dump.txt").read_text().startswith("offending batch:")
         assert "lr = 1000000.0\n" in (run / "config.resolved.ini").read_text()
 
+    def test_malformed_seed_variable_is_named(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CTCSEQ_SEED", "abc")
+        assert main(["synth", "--n-clips", "4", "--out", str(tmp_path / "d")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: CTCSEQ_SEED must be an integer: 'abc'\n"
+        assert not (tmp_path / "d").exists()
+
     def test_synth_rejects_negative_clip_count(self, tmp_path, capsys):
         assert main(["synth", "--n-clips", "-5", "--out", str(tmp_path / "o")]) == 1
         out, err = capsys.readouterr()

@@ -16,6 +16,7 @@ from ctcseq.ctc import (
     _lattice,
     collapse,
     ctc_loss,
+    min_frames,
 )
 from conftest import dist_of
 
@@ -146,6 +147,16 @@ class TestCtcLoss:
         bf = sequence_probability_bruteforce(probs, target)
         got = math.exp(-res.loss.item()) if res.feasible else 0.0
         assert abs(got - bf) < 1e-9
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(min_value=1, max_value=40),
+           st.lists(st.tuples(st.integers(min_value=0, max_value=25), st.booleans()), max_size=26),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_feasible_exactly_when_min_frames_fit(self, t, letters, seed):
+        # each drawn letter is held once, or twice in a row (a forced repeat); at most 26 letters
+        target = [l for l, twice in letters for _ in range(1 + twice)][:26]
+        probs = random_dist(np.random.default_rng(seed), t, 27)
+        assert ctc_loss(dist_of(probs), target).feasible == (t >= min_frames(target))
 
     def test_one_hot_single_frame_zero_loss(self):
         probs = np.array([[1.0, 0.0, 0.0]])

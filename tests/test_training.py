@@ -1,5 +1,6 @@
 import json
 import struct
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -21,6 +22,7 @@ from ctcseq.training import (
     forward_frames,
     train,
 )
+from training_reference import train_reference
 
 ALPHABET = Alphabet(tuple("abc"))
 
@@ -126,8 +128,10 @@ class TestTrainLoop:
         b = evaluate(loaded, tiny_split.dev).mean_letter_accuracy
         assert a == b
 
-    def test_infeasible_clips_are_skipped(self, tiny_split):
+    def test_infeasible_clips_are_skipped(self, tiny_split, monkeypatch):
         # a clip whose target cannot fit its frames must not poison training
+        import ctcseq.training as tr
+
         clip = tiny_split.train[0]
         bad = SyntheticClip(
             frames=clip.frames[:2].copy(),
@@ -142,8 +146,16 @@ class TestTrainLoop:
             alphabet=tiny_split.alphabet,
         )
         cfg = TrainConfig(epochs=1, seed=0, batch_size=2, flip_prob=0.0)
+        real, forwards = tr.forward_frames, []
+
+        def counted(model, frames, **kwargs):
+            forwards.append(frames)
+            return real(model, frames, **kwargs)
+
+        monkeypatch.setattr(tr, "forward_frames", counted)
         result = train(Recognizer(SMALL_MODEL, seed=0), split2, cfg)
         assert result.skipped_clips == 1
+        assert len(forwards) == 3 + len(split2.dev)  # no forward for the clip that cannot fit
 
     def test_nan_loss_aborts_with_dump(self, tiny_split, tmp_path, monkeypatch):
         import ctcseq.training as tr
@@ -227,6 +239,48 @@ class TestTrainLoop:
         assert smooth[-1] < smooth[0] * 0.5
         dist = forward_frames(model, clip.frames)
         assert greedy_decode(dist) == list(clip.target)
+
+
+class TestPerClipBackward:
+    """``train()`` runs each clip's backward right after its forward, seeded
+    with 1/n; ``training_reference`` keeps one graph per batch and one
+    backward of the batch mean."""
+
+    def test_reproduces_the_batch_graph_bit_for_bit(self, tiny_split):
+        cfg = TrainConfig(epochs=2, seed=6, batch_size=3, flip_prob=0.3)
+        assert len(tiny_split.train) % cfg.batch_size != 0  # the last batch is partial
+        per_clip, reference = Recognizer(SMALL_MODEL, seed=6), Recognizer(SMALL_MODEL, seed=6)
+        result = train(per_clip, tiny_split, cfg)
+        assert result.skipped_clips == 0
+        assert [r.train_loss for r in result.log] == train_reference(reference, tiny_split, cfg)
+        want = reference.named_parameters()
+        for name, p in per_clip.named_parameters().items():
+            assert np.array_equal(p.data, want[name].data), name
+
+    def test_at_most_two_clip_graphs_are_alive(self, tiny_split, monkeypatch):
+        import ctcseq.training as tr
+
+        class Marker:  # rides on each clip's loss node, so it lives exactly as long as the graph
+            def __init__(self, vjp):
+                self.vjp = vjp
+
+            def __call__(self, g):
+                return self.vjp(g)
+
+        real, graphs, alive = tr.combined_loss, [], []
+
+        def marked(dist, target, w):
+            report = real(dist, target, w)
+            marker = Marker(report.node._vjp)
+            report.node._vjp = marker
+            graphs.append(weakref.ref(marker))
+            alive.append(sum(ref() is not None for ref in graphs))
+            return report
+
+        monkeypatch.setattr(tr, "combined_loss", marked)
+        train(Recognizer(SMALL_MODEL, seed=0), tiny_split, TrainConfig(epochs=1, batch_size=len(tiny_split.train)))
+        assert len(alive) == len(tiny_split.train) >= 4
+        assert max(alive) == 2  # the new clip's and the previous one's, whose backward is done
 
 
 class TestAblation:

@@ -162,8 +162,9 @@ def train(model: Recognizer, split: DatasetSplit, cfg: TrainConfig,
     ``cfg.lr * (1 + cos(pi * k / K)) / 2``, so ``cfg.lr`` is the peak.
 
     Each clip's backward is seeded with 1/n, its share of the mean over the
-    batch's n clips, so at most two clip graphs are alive at once and the
-    weights are bit for bit those of one backward of the batch mean. A
+    batch's n clips, and its graph is freed before the next clip's forward,
+    so one clip graph is alive at a time and the weights are bit for bit
+    those of one backward of the batch mean. A
     non-finite loss or gradient aborts with ``TrainingDiverged`` and a
     diagnostic dump of the batch so far, before any weight takes the step.
     Clips with fewer frames than ``min_frames(target)`` are skipped, with a
@@ -173,6 +174,9 @@ def train(model: Recognizer, split: DatasetSplit, cfg: TrainConfig,
     the last epoch's weights; ``out_dir/best.ckpt`` holds the best-dev
     epoch's, ``best_epoch``.
     """
+    if not split.train or not split.dev:
+        raise ValueError(f"cannot train: the {'dev' if split.train else 'train'} partition is empty "
+                         f"({len(split.train)} train clips, {len(split.dev)} dev clips)")
     opt = AdamW(model.parameters(), lr=cfg.lr, weight_decay=WEIGHT_DECAY)
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
@@ -206,10 +210,9 @@ def train(model: Recognizer, split: DatasetSplit, cfg: TrainConfig,
                 if not math.isfinite(report.total):
                     raise _diverged(f"non-finite loss at epoch {epoch}, clip {int(j)}", batch_info, split, out)
                 epoch_losses.append(report.total)
-                # the graph goes when the next clip's forward rebinds dist and report; freed any
-                # earlier, glibc returns its pages and the next forward faults them in again
                 with np.errstate(over="ignore", invalid="ignore"):  # the norm check below reports these
                     backward(report.node, np.asarray(1.0 / sum(fits)))
+                del dist, report  # free this clip's graph before the next forward
             if not batch_info:
                 continue
             if not math.isfinite(clip_grad_norm(opt.params, GRAD_CLIP)):

@@ -239,6 +239,15 @@ class TestErrors:
         assert (run / "diagnostic_dump.txt").read_text().startswith("offending batch:")
         assert "lr = 1000000.0\n" in (run / "config.resolved.ini").read_text()
 
+    def test_train_on_empty_dev_partition_is_one_error_line(self, tmp_path, capsys):
+        data, run = tmp_path / "data", tmp_path / "run"
+        assert main(["synth", "--n-clips", "3", "--out", str(data)]) == 0
+        assert "train/dev/test = 2/0/1" in capsys.readouterr().out
+        assert main(["train", "--data", str(data), "--out", str(run)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: cannot train: the dev partition is empty (2 train clips, 0 dev clips)\n"
+        assert not (run / "best.ckpt").exists()
+
     def test_malformed_seed_variable_is_named(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CTCSEQ_SEED", "abc")
         assert main(["synth", "--n-clips", "4", "--out", str(tmp_path / "d")]) == 1

@@ -1,4 +1,6 @@
+import ctypes
 import json
+import resource
 import struct
 import weakref
 from dataclasses import replace
@@ -185,6 +187,13 @@ class TestTrainLoop:
         assert (tmp_path / "diagnostic_dump.txt").read_text() == exc.value.dump
         assert all(np.isfinite(p.data).all() for p in model.parameters())
 
+    @pytest.mark.parametrize("empty", ["train", "dev"])
+    def test_empty_partition_is_rejected(self, tiny_split, empty):
+        split = replace(tiny_split, **{empty: []})
+        counts = rf"\({len(split.train)} train clips, {len(split.dev)} dev clips\)"
+        with pytest.raises(ValueError, match=rf"the {empty} partition is empty {counts}"):
+            train(Recognizer(SMALL_MODEL, seed=0), split, TrainConfig(epochs=1))
+
     def test_malformed_clip_keeps_its_value_error(self, tiny_split):
         small = replace(tiny_split.train[0], frames=tiny_split.train[0].frames[:, :, :8, :8])
         split = replace(tiny_split, train=[small])
@@ -257,7 +266,7 @@ class TestPerClipBackward:
         for name, p in per_clip.named_parameters().items():
             assert np.array_equal(p.data, want[name].data), name
 
-    def test_at_most_two_clip_graphs_are_alive(self, tiny_split, monkeypatch):
+    def test_at_most_one_clip_graph_is_alive(self, tiny_split, monkeypatch):
         import ctcseq.training as tr
 
         class Marker:  # rides on each clip's loss node, so it lives exactly as long as the graph
@@ -280,7 +289,21 @@ class TestPerClipBackward:
         monkeypatch.setattr(tr, "combined_loss", marked)
         train(Recognizer(SMALL_MODEL, seed=0), tiny_split, TrainConfig(epochs=1, batch_size=len(tiny_split.train)))
         assert len(alive) == len(tiny_split.train) >= 4
-        assert max(alive) == 2  # the new clip's and the previous one's, whose backward is done
+        assert max(alive) == 1  # each clip's graph is freed right after its backward
+
+    @pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="glibc's mallopt only")
+    def test_warm_train_step_does_not_page_fault(self):
+        # glibc's default thresholds hand each freed clip graph back to the kernel, and the
+        # next forward faults it in again: about 900 minor faults per clip
+        split = synthesize(2, 16, Alphabet(tuple("abcde")), GenConfig(frame_size=64, n_signers=5, max_letters=2))
+        split = replace(split, train=split.train[:8])
+        cfg = TrainConfig(epochs=1, batch_size=4)
+        faults = []
+        for _ in range(2):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            train(Recognizer(ModelConfig(), seed=0), split, cfg)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        assert faults[1] / len(split.train) < 100, faults
 
 
 class TestAblation:

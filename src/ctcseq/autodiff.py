@@ -91,7 +91,7 @@ class Tensor:
         return mul(other, self)
 
     def __neg__(self):
-        return neg(self)
+        return mul(self, -1.0)
 
     def __pow__(self, p):
         return power(self, p)
@@ -104,17 +104,13 @@ class Parameter(Tensor):
     """A leaf tensor updated by the optimizer; grad is None (zero) until a
     backward reaches it."""
 
-    __slots__ = ("name",)
+    __slots__ = ()
 
-    def __init__(self, data, name: str = ""):
+    def __init__(self, data):
         super().__init__(data, requires_grad=True)
-        self.name = name
 
     def zero_grad(self):
         self.grad = None
-
-    def __repr__(self):
-        return f"Parameter({self.name!r}, shape={self.data.shape})"
 
 
 def as_tensor(x) -> Tensor:
@@ -170,11 +166,6 @@ def mul(a, b) -> Tensor:
         return _reduce_to(g * b.data, a.shape), _reduce_to(g * a.data, b.shape)
 
     return _node(a.data * b.data, (a, b), vjp)
-
-
-def neg(a) -> Tensor:
-    a = as_tensor(a)
-    return _node(-a.data, (a,), lambda g: (-g,))
 
 
 def power(a, p: float) -> Tensor:
@@ -308,15 +299,13 @@ def dropout(x, p: float, rng: np.random.Generator) -> Tensor:
 # reductions in the log domain
 
 
-def logsumexp(a, axis: int = -1, keepdims: bool = False) -> Tensor:
-    """Stable log-sum-exp along an axis, differentiable (grad = softmax)."""
+def logsumexp(a, axis: int = -1) -> Tensor:
+    """Stable log-sum-exp along an axis, kept with length 1, differentiable
+    (grad = softmax)."""
     a = as_tensor(a)
     m = np.max(a.data, axis=axis, keepdims=True)
     shifted = sub(a, Tensor(m))
-    out = add(log(sum_(exp(shifted), axis=axis, keepdims=True)), Tensor(m))
-    if not keepdims:
-        out = reshape(out, tuple(n for i, n in enumerate(out.shape) if i != (axis % a.ndim)))
-    return out
+    return add(log(sum_(exp(shifted), axis=axis, keepdims=True)), Tensor(m))
 
 
 def softmax(logits, axis: int = -1) -> Tensor:
@@ -325,9 +314,6 @@ def softmax(logits, axis: int = -1) -> Tensor:
     Output is floored at the smallest normal float so entries stay
     strictly positive even when the exponential underflows.
     """
-    logits = as_tensor(logits)
-    if not -logits.ndim <= axis < logits.ndim:
-        raise ValueError(f"softmax axis {axis} invalid for shape {logits.shape}")
     return clamp_min(exp(log_softmax(logits, axis=axis)), np.finfo(np.float64).tiny)
 
 
@@ -335,7 +321,7 @@ def log_softmax(logits, axis: int = -1) -> Tensor:
     logits = as_tensor(logits)
     if not -logits.ndim <= axis < logits.ndim:
         raise ValueError(f"log_softmax axis {axis} invalid for shape {logits.shape}")
-    return sub(logits, logsumexp(logits, axis=axis, keepdims=True))
+    return sub(logits, logsumexp(logits, axis=axis))
 
 
 # ---------------------------------------------------------------------------

@@ -45,12 +45,15 @@ def _parse_value(text: str, annotation):
 
 def load_config(path) -> dict:
     """Read a config file into {'model': ModelConfig, 'train': TrainConfig,
-    'data': GenConfig}; missing keys keep their dataclass defaults."""
-    parser = configparser.ConfigParser()
+    'data': GenConfig}; missing keys keep their dataclass defaults. A
+    malformed file or value ends in a ValueError that names the file or the
+    key."""
+    parser = configparser.ConfigParser(interpolation=None)
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"config file not found: {path}")
-    parser.read(path)
+    try:
+        parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
+    except configparser.Error as exc:  # its message names the file, over several lines
+        raise ValueError(" ".join(str(exc).split())) from None
     out = {}
     for section, cls in SECTIONS.items():
         types = _field_types(cls)
@@ -60,7 +63,10 @@ def load_config(path) -> dict:
             for key, raw in parser.items(section):
                 if key not in names:
                     raise ValueError(f"unknown config key [{section}] {key}")
-                kwargs[key] = _parse_value(raw, types[key])
+                try:
+                    kwargs[key] = _parse_value(raw, types[key])
+                except ValueError as exc:
+                    raise ValueError(f"[{section}] {key}: {exc}") from None
         out[section] = cls(**kwargs)
     return out
 
@@ -71,7 +77,7 @@ def default_config() -> dict:
 
 def save_config(configs: dict, path) -> None:
     """Write the fully resolved config (every field, defaults filled)."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(interpolation=None)
     for section, cfg in configs.items():
         parser.add_section(section)
         for f in dataclasses.fields(cfg):

@@ -142,21 +142,18 @@ def _lattice(lp: np.ndarray, ext) -> np.ndarray:
 
 @dataclass
 class CtcLossResult:
-    """Loss value plus the feasibility flag batch code keys off."""
+    """The loss node; a wrapper only because the bench's tracer reads ``.loss``."""
 
     loss: Tensor
-    feasible: bool
-
-    def value(self) -> float:
-        return self.loss.item()
 
 
 def ctc_loss(dist: FrameDistributionSeq, target) -> CtcLossResult:
     """-ln p(target | dist), differentiable through to the producing logits.
 
     Repeated letters in the target are handled by the interleaved-blank
-    lattice. Infeasible targets (too few frames) yield +inf with
-    ``feasible=False`` instead of raising, so batch loops can skip them.
+    lattice. A target no alignment carries (fewer frames than
+    ``min_frames``, or a letter of probability zero) gives -ln 0 = +inf
+    and no graph; ``train`` skips short clips before their forward.
     """
     target = validate_target(target, dist.blank_index)
     lp = dist.log_probs.data
@@ -169,9 +166,8 @@ def ctc_loss(dist: FrameDistributionSeq, target) -> CtcLossResult:
     log_p = alpha[-1, s_total - 1]
     if s_total > 1:
         log_p = np.logaddexp(log_p, alpha[-1, s_total - 2])
-    if log_p == NEG_INF:
-        # Target needs more frames than available: flag it, never NaN.
-        return CtcLossResult(Tensor(float("inf")), feasible=False)
+    if log_p == NEG_INF:  # no alignment has mass: the vjp below would be NaN
+        return CtcLossResult(Tensor(float("inf")))
 
     beta = _lattice(lp[::-1], ext[::-1])[::-1, ::-1]
 
@@ -186,4 +182,4 @@ def ctc_loss(dist: FrameDistributionSeq, target) -> CtcLossResult:
         return (-np.exp(gamma - log_p) * g,)
 
     out = _node(np.asarray(-log_p), (dist.log_probs,), vjp)
-    return CtcLossResult(out, feasible=True)
+    return CtcLossResult(out)

@@ -320,26 +320,43 @@ def save_dataset(split: DatasetSplit, out_dir) -> None:
         (out / f"{name}.index").write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
 
 
+def _index_clip(root: Path, line: str, alphabet: Alphabet) -> SyntheticClip:
+    fields = line.split("\t")
+    if len(fields) != 4:
+        raise ValueError(f"expected 4 tab-separated fields, got {len(fields)}")
+    rel, word, signer, handedness = fields
+    missing = [ch for ch in word if ch not in alphabet.letters]
+    if missing:
+        raise ValueError(f"letter {missing[0]!r} of {word!r} is not in alphabet.txt")
+    if handedness not in ("left", "right"):
+        raise ValueError(f"handedness must be left or right, got {handedness!r}")
+    return SyntheticClip(
+        frames=read_tensor(root / rel),
+        target=tuple(alphabet.encode(word)),
+        signer_id=int(signer),
+        handedness=handedness,
+    )
+
+
 def load_dataset(data_dir) -> DatasetSplit:
+    """The split ``save_dataset`` wrote; a malformed index line ends in a
+    ValueError that names the index file and the line."""
     root = Path(data_dir)
     letters = (root / "alphabet.txt").read_text(encoding="utf-8").strip()
     alphabet = Alphabet(tuple(letters))
     parts: dict[str, list[SyntheticClip]] = {}
     for name in ("train", "dev", "test"):
-        clips = []
         index = root / f"{name}.index"
-        if index.exists():
-            for line in index.read_text(encoding="utf-8").splitlines():
-                if not line:
-                    continue
-                rel, word, signer, handedness = line.split("\t")
-                clips.append(
-                    SyntheticClip(
-                        frames=read_tensor(root / rel),
-                        target=tuple(alphabet.encode(word)),
-                        signer_id=int(signer),
-                        handedness=handedness,
-                    )
-                )
+        try:
+            lines = index.read_text(encoding="utf-8").splitlines() if index.exists() else []
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{index} is not UTF-8 text: {exc}") from None
+        clips = []
+        for number, line in enumerate(lines, 1):
+            if line:
+                try:
+                    clips.append(_index_clip(root, line, alphabet))
+                except (ValueError, OSError) as exc:
+                    raise ValueError(f"{index} line {number}: {exc}") from None
         parts[name] = clips
     return DatasetSplit(parts["train"], parts["dev"], parts["test"], alphabet)

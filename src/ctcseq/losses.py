@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 
 from .autodiff import Tensor, clamp_min, exp, log, mean_, mul, sub, sum_
-from .ctc import CtcLossResult, FrameDistributionSeq, ctc_loss
+from .ctc import FrameDistributionSeq, ctc_loss
 
 LN2 = math.log(2.0)
 
@@ -38,33 +38,20 @@ class LossReport:
     ctc: float
     mel: float
     total: float
-    feasible: bool
     node: Tensor | None
 
 
 def combined_loss(dist: FrameDistributionSeq, target, mel_weight: float) -> LossReport:
-    """ctc + mel_weight * mel, with mel converted from bits to nats.
-
-    Propagates the CTC infeasibility flag; an infeasible clip reports an
-    infinite total and no graph node.
-    """
+    """ctc + mel_weight * mel, with mel converted from bits to nats; +inf
+    for a target that no alignment carries."""
     if not 0.0 <= mel_weight <= 1.0:
         raise ValueError(f"mel_weight must be in [0, 1]: {mel_weight}")
-    ctc_res: CtcLossResult = ctc_loss(dist, target)
+    ctc = ctc_loss(dist, target).loss
     mel = max_entropy_loss(dist)
-    if not ctc_res.feasible:
-        return LossReport(
-            ctc=float("inf"),
-            mel=mel.item(),
-            total=float("inf"),
-            feasible=False,
-            node=None,
-        )
-    total = ctc_res.loss + mul(mel, mel_weight * LN2)
+    total = ctc + mul(mel, mel_weight * LN2)
     return LossReport(
-        ctc=ctc_res.loss.item(),
+        ctc=ctc.item(),
         mel=mel.item(),
         total=total.item(),
-        feasible=True,
         node=total,
     )

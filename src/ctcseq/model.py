@@ -287,7 +287,7 @@ class Recognizer(Module):
         self.extractor = FeatureExtractor(cfg, rng)
         self.spatial = SpatialAttention(cfg, rng)
         self.refiner = AttentionRefiner(cfg, rng)
-        self.blend_raw = Parameter(np.zeros(()), name="blend_raw")
+        self.blend_raw = Parameter(np.zeros(()))
         ph, pw = cfg.pooled_grid
         self.embed = Linear(cfg.feat_channels * ph * pw, cfg.embed_dim, rng)
         self.layers = [EncoderLayer(cfg, rng) for _ in range(cfg.encoder_layers)]

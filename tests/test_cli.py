@@ -336,6 +336,12 @@ class TestErrors:
         ("data", "min_frames_per_letter = 2", "unknown config key"),
         ("data", "background_noise = 0.02", "unknown config key"),
         ("data", "position_jitter = 1.5", "unknown config key"),
+        # malformed files and values name the file or the key
+        ("train", "lr = 1\nlr = 2", "bad.ini' [line 3]: option 'lr' in section 'train' already exists"),
+        ("train", "[model", "bad.ini' [line 2]: '[model\\n'"),
+        ("train", "lr = %x", "[train] lr: could not convert string to float: '%x'"),
+        ("train", "lr = fast", "[train] lr: could not convert string to float: 'fast'"),
+        ("model", "feat_grid = 8", "[model] feat_grid: expected two integers, got '8'"),
     ])
     def test_bad_config_is_one_error_line(self, tmp_path, capsys, section, line, message):
         cfg = tmp_path / "bad.ini"
@@ -346,3 +352,36 @@ class TestErrors:
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1 and message in err
         assert not (tmp_path / "o").exists()
+
+    def test_config_directory_is_one_error_line(self, tmp_path, capsys):
+        (tmp_path / "cfgdir").mkdir()
+        code = main(["synth", "--seed", "1", "--n-clips", "2",
+                     "--out", str(tmp_path / "o"), "--config", str(tmp_path / "cfgdir")])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "cfgdir" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        (1, "azq", "train.index line 1: letter 'z' of 'azq' is not in alphabet.txt"),
+        (3, None, "train.index line 1: expected 4 tab-separated fields, got 3"),
+        (3, "both", "train.index line 1: handedness must be left or right, got 'both'"),
+    ], ids=["letter", "fields", "handedness"])
+    def test_malformed_index_line_names_file_and_line(self, tmp_path, cfg_file, capsys, field, value, message):
+        from ctcseq.ctc import Alphabet
+        from ctcseq.data import GenConfig, save_dataset, synthesize
+
+        data = tmp_path / "data"
+        save_dataset(synthesize(0, 12, Alphabet(tuple("abcde")), GenConfig(frame_size=32, n_signers=5)), data)
+        index = data / "train.index"
+        lines = index.read_text().splitlines()
+        fields = lines[0].split("\t")
+        if value is None:
+            del fields[field]
+        else:
+            fields[field] = value
+        index.write_text("\n".join(["\t".join(fields), *lines[1:]]) + "\n")
+        assert main(["train", "--data", str(data), "--config", str(cfg_file), "--out", str(tmp_path / "run")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert message in err

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from ctcseq.ctc import (
     ctc_loss,
     min_frames,
 )
+from ctcseq.losses import combined_loss
 from conftest import dist_of
 
 
@@ -145,7 +147,7 @@ class TestCtcLoss:
         target = [int(x) for x in rng.integers(0, c, size=k)]
         res = ctc_loss(dist_of(probs), target)
         bf = sequence_probability_bruteforce(probs, target)
-        got = math.exp(-res.loss.item()) if res.feasible else 0.0
+        got = math.exp(-res.loss.item())
         assert abs(got - bf) < 1e-9
 
     @settings(max_examples=80, deadline=None)
@@ -156,20 +158,31 @@ class TestCtcLoss:
         # each drawn letter is held once, or twice in a row (a forced repeat); at most 26 letters
         target = [l for l, twice in letters for _ in range(1 + twice)][:26]
         probs = random_dist(np.random.default_rng(seed), t, 27)
-        assert ctc_loss(dist_of(probs), target).feasible == (t >= min_frames(target))
+        assert math.isinf(ctc_loss(dist_of(probs), target).loss.item()) == (t < min_frames(target))
 
     def test_one_hot_single_frame_zero_loss(self):
         probs = np.array([[1.0, 0.0, 0.0]])
         res = ctc_loss(dist_of(probs), [0])
-        assert res.feasible
         assert res.loss.item() == pytest.approx(0.0, abs=1e-12)
 
     def test_repeat_needs_three_frames(self):
         probs = np.full((2, 2), 0.5)
         res = ctc_loss(dist_of(probs), [0, 0])
-        assert not res.feasible
         assert res.loss.item() == float("inf")
         assert not math.isnan(res.loss.item())
+
+    def test_zero_probability_letter_gives_inf_without_a_graph(self):
+        # the two frames fit min_frames([0, 1]), but letter 1 has probability zero in both
+        lp = np.log(np.full((2, 3), 0.5))
+        lp[:, 1] = -np.inf
+        log_probs = Parameter(lp)
+        assert min_frames([0, 1]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss = ctc_loss(FrameDistributionSeq(log_probs), [0, 1]).loss
+            report = combined_loss(FrameDistributionSeq(log_probs), [0, 1], 0.5)
+        assert loss.item() == float("inf") and loss._vjp is None
+        assert report.total == float("inf")
 
     def test_blank_in_target_rejected(self):
         probs = np.full((2, 3), 1 / 3)
@@ -183,8 +196,8 @@ class TestCtcLoss:
         perm = [2, 0, 1]  # relabel letters, blank stays put
         permuted = probs[:, np.argsort(perm + [3])]
         # mapping letters through the same permutation leaves the loss alone
-        base = ctc_loss(dist_of(probs), target).value()
-        moved = ctc_loss(dist_of(permuted), [perm[l] for l in target]).value()
+        base = ctc_loss(dist_of(probs), target).loss.item()
+        moved = ctc_loss(dist_of(permuted), [perm[l] for l in target]).loss.item()
         assert abs(base - moved) < 1e-12
 
     @pytest.mark.parametrize("seed", range(8))
@@ -258,8 +271,8 @@ class TestLongSequences:
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_time_reversal_leaves_loss_unchanged(self, seed):
         probs, target = long_instance(seed)
-        forward = ctc_loss(dist_of(probs), target).value()
-        reverse = ctc_loss(dist_of(probs[::-1].copy()), target[::-1]).value()
+        forward = ctc_loss(dist_of(probs), target).loss.item()
+        reverse = ctc_loss(dist_of(probs[::-1].copy()), target[::-1]).loss.item()
         assert abs(forward - reverse) < 1e-12
 
     @settings(max_examples=60, deadline=None)
@@ -270,7 +283,6 @@ class TestLongSequences:
         probs, target = long_instance(seed)
         log_probs = Parameter(np.log(probs))
         res = ctc_loss(FrameDistributionSeq(log_probs), target)
-        assert res.feasible
         backward(res.loss)
         assert np.max(np.abs(log_probs.grad.sum(axis=1) + 1.0)) < 1e-9
 
@@ -288,5 +300,5 @@ class TestPartition:
         for target, mass in table.items():
             if len(target) == 0:
                 continue
-            nll = ctc_loss(dist_of(probs), list(target)).value()
+            nll = ctc_loss(dist_of(probs), list(target)).loss.item()
             assert abs(math.exp(-nll) - mass) < 1e-9

@@ -28,6 +28,13 @@ def tensor_bytes(tmp_path_factory):
     return path.read_bytes()
 
 
+@pytest.fixture(scope="module")
+def dataset_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("dataset")
+    save_dataset(synthesize(4, 10, ALPHABET, GenConfig(frame_size=8, n_signers=6)), root)
+    return root, (root / "train.index").read_bytes()
+
+
 def small_cfg(**kw):
     defaults = dict(frame_size=32, n_signers=6)
     defaults.update(kw)
@@ -195,6 +202,18 @@ class TestContainers:
             assert "corrupt.tnsr" in str(exc)
         else:
             assert arr.dtype == np.float64
+
+    @settings(max_examples=200, deadline=None)
+    @given(edits=CORRUPTIONS)
+    def test_corrupted_index_ends_in_a_named_error_or_a_split(self, dataset_dir, edits):
+        root, raw = dataset_dir
+        write_corrupted(root / "train.index", raw, edits)
+        try:
+            split = load_dataset(root)
+        except ValueError as exc:
+            assert "train.index" in str(exc)
+        else:
+            assert all(clip.handedness in ("left", "right") for clip in split.train)
 
     def test_dataset_round_trip(self, tmp_path):
         split = synthesize(4, 10, ALPHABET, small_cfg())

@@ -76,12 +76,11 @@ class TestCombinedLoss:
         assert report.total == pytest.approx(report.ctc + 0.25 * report.mel * LN2, abs=1e-12)
         assert 0.0 <= report.mel <= math.log2(4)
 
-    def test_infeasible_target_flagged(self):
+    def test_infeasible_target_is_infinite(self):
         probs = np.full((2, 3), 1 / 3)
         report = combined_loss(dist_of(probs), [0, 0], 0.1)
-        assert not report.feasible
-        assert report.total == float("inf")
-        assert report.node is None
+        assert report.ctc == float("inf") and report.total == float("inf")
+        assert math.isfinite(report.mel)
 
     def test_invalid_weight_rejected(self):
         with pytest.raises(ValueError):
@@ -126,4 +125,4 @@ class TestZeroProbabilityClasses:
     def test_one_hot_values(self):
         dist = FrameDistributionSeq(self.one_hot_log_probs())
         assert max_entropy_loss(dist).item() == pytest.approx(math.log2(4), abs=1e-12)
-        assert ctc_loss(dist, [0, 1]).value() == pytest.approx(0.0, abs=1e-12)
+        assert ctc_loss(dist, [0, 1]).loss.item() == pytest.approx(0.0, abs=1e-12)

@@ -35,7 +35,7 @@ def train_reference(model: Recognizer, split: DatasetSplit, cfg: TrainConfig) ->
                     clip = horizontal_flip(clip)
                 dist = forward_frames(model, clip.frames, training=True, rng=rng)
                 report = combined_loss(dist, clip.target, cfg.mel_weight)
-                if report.feasible:
+                if math.isfinite(report.total):
                     nodes.append(report.node)
                     epoch_losses.append(report.total)
             if not nodes:

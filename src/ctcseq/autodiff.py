@@ -178,15 +178,6 @@ def power(a, p: float) -> Tensor:
     return _node(np.power(a.data, p), (a,), vjp)
 
 
-def relu(a) -> Tensor:
-    a = as_tensor(a)
-
-    def vjp(g):
-        return (g * (a.data > 0.0),)
-
-    return _node(np.maximum(a.data, 0.0), (a,), vjp)
-
-
 def exp(a) -> Tensor:
     a = as_tensor(a)
     out_data = np.exp(a.data)
@@ -218,7 +209,7 @@ def sigmoid(a) -> Tensor:
 
 
 def clamp_min(a, floor: float) -> Tensor:
-    """max(a, floor); gradient passes only where a > floor."""
+    """max(a, floor); gradient passes only where a > floor. At floor 0 this is the ReLU."""
     a = as_tensor(a)
 
     def vjp(g):
@@ -231,9 +222,7 @@ def sum_(a, axis=None, keepdims=False) -> Tensor:
     a = as_tensor(a)
 
     def vjp(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        g2 = g if keepdims else np.expand_dims(g, axis)
+        g2 = g if keepdims or axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(g2, a.shape).copy(),)
 
     return _node(a.data.sum(axis=axis, keepdims=keepdims), (a,), vjp)
@@ -286,13 +275,7 @@ def dropout(x, p: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout; call only in training mode."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1): {p}")
-    x = as_tensor(x)
-    mask = (rng.random(x.shape) >= p) / (1.0 - p)
-
-    def vjp(g):
-        return (g * mask,)
-
-    return _node(x.data * mask, (x,), vjp)
+    return mul(x, (rng.random(x.shape) >= p) / (1.0 - p))
 
 
 # ---------------------------------------------------------------------------

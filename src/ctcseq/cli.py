@@ -13,13 +13,11 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import decoder as dec
 from .autodiff import no_grad
 from .config import default_config, load_config, save_config
 from .ctc import Alphabet
-from .data import load_dataset, read_tensor, save_dataset, synthesize
+from .data import load_dataset, read_clip, save_dataset, synthesize
 from .lm import lm_train, load_lm, save_lm
 from .model import Recognizer, load_checkpoint
 from .training import TrainingDiverged, ablate, evaluate, forward_frames, train
@@ -78,22 +76,18 @@ def _check_letters(model: Recognizer, alphabet: Alphabet, source: str) -> None:
                          f"but the checkpoint has {model.cfg.num_classes}")
 
 
-def _eval_report(args, partition: str):
+def _cmd_eval(args) -> int:
     model = load_checkpoint(args.ckpt)
     split = load_dataset(args.data)
     _check_letters(model, split.alphabet, f"the dataset in {args.data}")
-    clips = split.partitions()[partition]
+    clips = split.partitions()[args.split]
     if not clips:
-        raise ValueError(f"no clips in partition {partition!r}")
+        raise ValueError(f"no clips in partition {args.split!r}")
     lm = load_lm(args.lm) if args.lm else None
-    return evaluate(
+    report = evaluate(
         model, clips, decoder=args.decoder, beam_width=args.beam_width,
-        lm=lm, alpha=args.alpha, alphabet=split.alphabet, prefix=partition,
+        lm=lm, alpha=args.alpha, alphabet=split.alphabet, prefix=args.split,
     )
-
-
-def _cmd_eval(args) -> int:
-    report = _eval_report(args, args.split)
     print(report.to_table(), end="")
     if args.out:
         out = Path(args.out)
@@ -107,13 +101,8 @@ def _cmd_decode(args) -> int:
     model = load_checkpoint(args.ckpt)
     letters = Alphabet(tuple(args.alphabet))
     _check_letters(model, letters, "--alphabet")
-    frames = read_tensor(args.clip)
-    if frames.ndim != 4 or frames.shape[0] < 1 or frames.shape[1] != 3:
-        raise ValueError(f"clip {args.clip} has shape {frames.shape}, not (T >= 1, 3, H, W)")
-    if not np.isfinite(frames).all():
-        raise ValueError(f"clip {args.clip} holds non-finite values")
     with no_grad():
-        dist = forward_frames(model, frames)
+        dist = forward_frames(model, read_clip(args.clip))
     lm = load_lm(args.lm) if args.lm else None
     pred = dec.decode(dist, args.decoder, args.beam_width, lm, args.alpha, letters)
     print(letters.decode(pred))
@@ -164,24 +153,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint")
-    p.add_argument("--ckpt", required=True)
+    decoding = argparse.ArgumentParser(add_help=False)  # the options eval and decode share
+    decoding.add_argument("--ckpt", required=True)
+    decoding.add_argument("--decoder", choices=dec.DECODERS, default="greedy")
+    decoding.add_argument("--beam-width", type=int, default=20)
+    decoding.add_argument("--lm", default=None)
+    decoding.add_argument("--alpha", type=float, default=0.2)
+
+    p = sub.add_parser("eval", parents=[decoding], help="evaluate a checkpoint")
     p.add_argument("--data", required=True)
-    p.add_argument("--decoder", choices=dec.DECODERS, default="greedy")
-    p.add_argument("--beam-width", type=int, default=20)
-    p.add_argument("--lm", default=None)
-    p.add_argument("--alpha", type=float, default=0.2)
     p.add_argument("--split", choices=("train", "dev", "test"), default="dev")
     p.add_argument("--out", default=None)
     p.set_defaults(handler=_cmd_eval)
 
-    p = sub.add_parser("decode", help="decode a single clip container")
-    p.add_argument("--ckpt", required=True)
+    p = sub.add_parser("decode", parents=[decoding], help="decode a single clip container")
     p.add_argument("--clip", required=True)
-    p.add_argument("--decoder", choices=dec.DECODERS, default="greedy")
-    p.add_argument("--beam-width", type=int, default=20)
-    p.add_argument("--lm", default=None)
-    p.add_argument("--alpha", type=float, default=0.2)
     p.add_argument("--alphabet", default=DEFAULT_LETTERS)
     p.set_defaults(handler=_cmd_decode)
 

@@ -18,11 +18,6 @@ from .training import TrainConfig
 SECTIONS = {"model": ModelConfig, "train": TrainConfig, "data": GenConfig}
 
 
-def _field_types(cls) -> dict:
-    # annotations are strings under `from __future__ import annotations`
-    return typing.get_type_hints(cls)
-
-
 def _format_value(value) -> str:
     if isinstance(value, (tuple, list)):
         return ",".join(str(v) for v in value)
@@ -54,9 +49,12 @@ def load_config(path) -> dict:
         parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
     except configparser.Error as exc:  # its message names the file, over several lines
         raise ValueError(" ".join(str(exc).split())) from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8 text: {exc}") from None
     out = {}
     for section, cls in SECTIONS.items():
-        types = _field_types(cls)
+        # annotations are strings under `from __future__ import annotations`
+        types = typing.get_type_hints(cls)
         names = {f.name for f in dataclasses.fields(cls)}
         kwargs = {}
         if parser.has_section(section):

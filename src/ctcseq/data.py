@@ -122,8 +122,7 @@ def _paste(canvas: np.ndarray, block: np.ndarray, tint: np.ndarray, x: int, y: i
     if x0 >= x1 or y0 >= y1:
         return
     sub = block[y0 - y : y1 - y, x0 - x : x1 - x]
-    for c in range(canvas.shape[0]):
-        canvas[c, y0:y1, x0:x1] += weight * tint[c] * sub
+    canvas[:, y0:y1, x0:x1] += weight * tint[:, None, None] * sub
 
 
 def _render_clip(seed: int, clip_index: int, target: tuple[int, ...], signer_id: int,
@@ -305,6 +304,16 @@ def read_tensor(path) -> np.ndarray:
     return np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
 
 
+def read_clip(path) -> np.ndarray:
+    """``read_tensor`` of a clip: (T >= 1, 3, H, W) finite frames."""
+    frames = read_tensor(path)
+    if frames.ndim != 4 or frames.shape[0] < 1 or frames.shape[1] != 3:
+        raise ValueError(f"clip {path} has shape {frames.shape}, not (T >= 1, 3, H, W)")
+    if not np.isfinite(frames).all():
+        raise ValueError(f"clip {path} holds non-finite values")
+    return frames
+
+
 def save_dataset(split: DatasetSplit, out_dir) -> None:
     out = Path(out_dir)
     clips_dir = out / "clips"
@@ -331,7 +340,7 @@ def _index_clip(root: Path, line: str, alphabet: Alphabet) -> SyntheticClip:
     if handedness not in ("left", "right"):
         raise ValueError(f"handedness must be left or right, got {handedness!r}")
     return SyntheticClip(
-        frames=read_tensor(root / rel),
+        frames=read_clip(root / rel),
         target=tuple(alphabet.encode(word)),
         signer_id=int(signer),
         handedness=handedness,
@@ -339,11 +348,14 @@ def _index_clip(root: Path, line: str, alphabet: Alphabet) -> SyntheticClip:
 
 
 def load_dataset(data_dir) -> DatasetSplit:
-    """The split ``save_dataset`` wrote; a malformed index line ends in a
-    ValueError that names the index file and the line."""
+    """The split ``save_dataset`` wrote; a malformed ``alphabet.txt`` or index
+    line ends in a ValueError that names the file (and the line)."""
     root = Path(data_dir)
-    letters = (root / "alphabet.txt").read_text(encoding="utf-8").strip()
-    alphabet = Alphabet(tuple(letters))
+    alphabet_file = root / "alphabet.txt"
+    try:
+        alphabet = Alphabet(tuple(alphabet_file.read_text(encoding="utf-8").strip()))
+    except ValueError as exc:  # a UnicodeDecodeError is one too
+        raise ValueError(f"{alphabet_file}: {exc}") from None
     parts: dict[str, list[SyntheticClip]] = {}
     for name in ("train", "dev", "test"):
         index = root / f"{name}.index"

@@ -77,8 +77,6 @@ def lm_train(corpus: list[str], order: int, smoothing_alpha: float = 1.0) -> Cha
     """
     if not corpus:
         raise ValueError("language model corpus must be non-empty")
-    if order < 1:
-        raise ValueError(f"language model order must be >= 1: {order}")
     counts: dict[str, dict[str, int]] = defaultdict(lambda: defaultdict(int))
     for word in corpus:
         events = [(i, word[i]) for i in range(len(word))] + [(len(word), EOS)]

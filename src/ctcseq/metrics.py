@@ -14,32 +14,20 @@ def edit_alignment(pred, truth) -> tuple[int, int, int]:
     extra predicted letters. Cost ties prefer fewer insertions, then
     fewer deletions, so the counts are deterministic.
     """
-    pred = list(pred)
-    truth = list(truth)
-    np_, nt = len(pred), len(truth)
-    # dp[i][j] = (cost, insertions, deletions) for pred[:i] vs truth[:j]
-    dp = [[None] * (nt + 1) for _ in range(np_ + 1)]
-    dp[0][0] = (0, 0, 0)
-    for i in range(1, np_ + 1):
-        dp[i][0] = (i, i, 0)
-    for j in range(1, nt + 1):
-        dp[0][j] = (j, 0, j)
-    for i in range(1, np_ + 1):
-        for j in range(1, nt + 1):
-            c, ins, dele = dp[i - 1][j - 1]
-            if pred[i - 1] != truth[j - 1]:
-                c += 1
-            best = (c, ins, dele)
-            c, ins, dele = dp[i - 1][j]
-            cand = (c + 1, ins + 1, dele)
-            if cand < best:
-                best = cand
-            c, ins, dele = dp[i][j - 1]
-            cand = (c + 1, ins, dele + 1)
-            if cand < best:
-                best = cand
-            dp[i][j] = best
-    cost, ins, dele = dp[np_][nt]
+    # row[j] = (cost, insertions, deletions) for pred[:i] vs truth[:j]
+    row = [(j, 0, j) for j in range(len(truth) + 1)]
+    for i, p in enumerate(pred, 1):
+        prev = row
+        row = [(i, i, 0)]
+        for j, t in enumerate(truth, 1):
+            c, ins, dele = prev[j - 1]
+            match = (c if p == t else c + 1, ins, dele)
+            c, ins, dele = prev[j]
+            insert = (c + 1, ins + 1, dele)
+            c, ins, dele = row[j - 1]
+            delete = (c + 1, ins, dele + 1)
+            row.append(min(match, insert, delete))
+    cost, ins, dele = row[-1]
     return cost - ins - dele, dele, ins
 
 

@@ -211,8 +211,8 @@ class SpatialAttention(Module):
     def __call__(self, features: Tensor) -> Tensor:
         t, d, h, w = features.shape
         cells = ad.reshape(ad.transpose(features, (0, 2, 3, 1)), (t * h * w, d))
-        hidden = ad.relu(ad.matmul(cells, self.w_a))
-        scores = ad.relu(ad.matmul(hidden, self.w_v))
+        hidden = ad.clamp_min(ad.matmul(cells, self.w_a), 0.0)
+        scores = ad.clamp_min(ad.matmul(hidden, self.w_v), 0.0)
         return ad.reshape(scores, (t, h, w))
 
 
@@ -272,7 +272,7 @@ class EncoderLayer(Module):
         if training:
             a = ad.dropout(a, DROPOUT_ENCODER, rng)
         x = self.norm1(x + a)
-        f = self.ffn_out(ad.relu(self.ffn_in(x)))
+        f = self.ffn_out(ad.clamp_min(self.ffn_in(x), 0.0))
         if training:
             f = ad.dropout(f, DROPOUT_ENCODER, rng)
         return self.norm2(x + f)

@@ -189,6 +189,43 @@ class TestErrors:
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
         assert "clip.tnsr" in err
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("shape, fill", [((4, 32, 32), 0.5), ((0, 3, 32, 32), 0.5), ((4, 3, 32, 32), float("nan"))],
+                             ids=["rank-3", "zero-frames", "all-nan"])
+    def test_dataset_with_malformed_clip_names_index_line_and_file(self, decode_files, cfg_file, tmp_path, capsys,
+                                                                   command, shape, fill):
+        import numpy as np
+
+        from ctcseq.ctc import Alphabet
+        from ctcseq.data import GenConfig, save_dataset, synthesize, write_tensor
+
+        data = tmp_path / "data"
+        save_dataset(synthesize(0, 12, Alphabet(tuple("abcde")), GenConfig(frame_size=32, n_signers=5)), data)
+        write_tensor(data / "clips" / "train_00000.tnsr", np.full(shape, fill))
+        args = {"train": ["train", "--data", str(data), "--config", cfg_file, "--out", str(tmp_path / "run")],
+                "eval": ["eval", "--ckpt", decode_files[2], "--data", str(data)]}[command]
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert "train.index line 1: clip " in err and "train_00000.tnsr" in err
+
+    @pytest.mark.parametrize("content, message", [
+        (b"aab\n", "alphabet letters must be distinct"),
+        (b"", "alphabet must contain at least one letter"),
+        (b"\xffabc\n", "can't decode byte 0xff"),
+    ], ids=["repeated", "empty", "not-utf8"])
+    def test_malformed_alphabet_names_the_file(self, cfg_file, tmp_path, capsys, content, message):
+        from ctcseq.ctc import Alphabet
+        from ctcseq.data import GenConfig, save_dataset, synthesize
+
+        data = tmp_path / "data"
+        save_dataset(synthesize(0, 12, Alphabet(tuple("abcde")), GenConfig(frame_size=16, n_signers=5)), data)
+        (data / "alphabet.txt").write_bytes(content)
+        assert main(["train", "--data", str(data), "--config", cfg_file, "--out", str(tmp_path / "run")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert f"{data / 'alphabet.txt'}: " in err and message in err
+
     def test_eval_rejects_non_finite_checkpoint(self, decode_files, tmp_path, capsys):
         from ctcseq.ctc import Alphabet
         from ctcseq.data import GenConfig, save_dataset, synthesize
@@ -360,6 +397,16 @@ class TestErrors:
         out, err = capsys.readouterr()
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1 and "cfgdir" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_not_utf8_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_bytes(b"\xff[train]\nlr = 1e-3\n")
+        code = main(["synth", "--seed", "1", "--n-clips", "2",
+                     "--out", str(tmp_path / "o"), "--config", str(cfg)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {cfg} is not UTF-8 text: ") and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("field, value, message", [

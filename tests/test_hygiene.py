@@ -46,7 +46,8 @@ def test_no_unused_top_level_imports(path):
 
 def module_definitions(source: str) -> list[str]:
     """Names of the module-level functions, classes and assigned constants,
-    dunders excepted."""
+    and of the methods, properties and annotated (dataclass) fields of those
+    classes, dunders excepted."""
     names = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -55,6 +56,12 @@ def module_definitions(source: str) -> list[str]:
             names += [t.id for t in node.targets if isinstance(t, ast.Name)]
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             names.append(node.target.id)
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names.append(member.name)
+                elif isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                    names.append(member.target.id)
     return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
 
 
@@ -71,6 +78,13 @@ def test_definition_detector():
     package = {"m": "LIMIT = 3\ndef used(): return LIMIT\ndef _left(): pass\nclass Gone: pass\n__all__ = []\n"}
     callers = [package["m"], "from m import used\n"]
     assert unnamed_definitions(package, callers) == ["m: _left", "m: Gone"]
+
+
+def test_definition_detector_reads_class_members():
+    package = {"m": "class C:\n    size: int\n    kept: int\n    def __init__(self): pass\n"
+                    "    @property\n    def area(self): return self.size\n    def _spare(self): pass\n"}
+    callers = [package["m"], "from m import C\nC().area + C().kept\n"]
+    assert unnamed_definitions(package, callers) == ["m: _spare"]
 
 
 def test_every_package_definition_is_named_somewhere_else():

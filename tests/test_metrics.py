@@ -5,6 +5,19 @@ from hypothesis import strategies as st
 from ctcseq.metrics import edit_alignment, evaluate_clips, letter_accuracy
 
 seqs = st.text(alphabet="abc", max_size=8).map(list)
+short = st.sampled_from(["ab", "abc"]).flatmap(lambda letters: st.text(alphabet=letters, max_size=5))
+
+
+def all_alignments(pred, truth):
+    """(cost, insertions, deletions) of every alignment of ``pred`` against
+    ``truth``, one entry per path of matches, substitutions, insertions
+    and deletions."""
+    if not pred or not truth:
+        return [(len(pred) + len(truth), len(pred), len(truth))]
+    out = [(c + (pred[0] != truth[0]), i, d) for c, i, d in all_alignments(pred[1:], truth[1:])]
+    out += [(c + 1, i + 1, d) for c, i, d in all_alignments(pred[1:], truth)]
+    out += [(c + 1, i, d + 1) for c, i, d in all_alignments(pred, truth[1:])]
+    return out
 
 
 class TestEditAlignment:
@@ -35,6 +48,11 @@ class TestEditAlignment:
         dbc = sum(edit_alignment(b, c))
         dac = sum(edit_alignment(a, c))
         assert dac <= dab + dbc
+
+    @given(short, short)
+    def test_counts_the_least_cost_then_fewest_insertions_then_deletions(self, pred, truth):
+        cost, ins, dele = min(all_alignments(pred, truth))
+        assert edit_alignment(pred, truth) == (cost - ins - dele, dele, ins)
 
 
 class TestLetterAccuracy:

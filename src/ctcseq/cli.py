@@ -102,7 +102,7 @@ def _cmd_decode(args) -> int:
     letters = Alphabet(tuple(args.alphabet))
     _check_letters(model, letters, "--alphabet")
     with no_grad():
-        dist = forward_frames(model, read_clip(args.clip))
+        dist = forward_frames(model, read_clip(args.clip), name=args.clip)
     lm = load_lm(args.lm) if args.lm else None
     pred = dec.decode(dist, args.decoder, args.beam_width, lm, args.alpha, letters)
     print(letters.decode(pred))

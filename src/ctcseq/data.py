@@ -139,12 +139,12 @@ def _render_clip(seed: int, clip_index: int, target: tuple[int, ...], signer_id:
         glyphs.append((block, tint))
 
     # frame schedule: hold each letter, one blurred transition in between
-    schedule: list[tuple[int, int | None, float]] = []  # (glyph_a, glyph_b, mix)
+    schedule: list[tuple[int, int | None]] = []  # (glyph_a, glyph_b); a transition shows both at half weight
     for i in range(len(target)):
         hold = int(rng.integers(MIN_FRAMES_PER_LETTER, cfg.max_frames_per_letter + 1))
-        schedule.extend((i, None, 0.0) for _ in range(hold))
+        schedule.extend((i, None) for _ in range(hold))
         if i + 1 < len(target):
-            schedule.extend((i, i + 1, 0.5) for _ in range(cfg.transition_frames))
+            schedule.extend((i, i + 1) for _ in range(cfg.transition_frames))
 
     t_total = len(schedule)
     frames = np.zeros((t_total, 3, s, s))
@@ -152,7 +152,7 @@ def _render_clip(seed: int, clip_index: int, target: tuple[int, ...], signer_id:
     y = profile["base_y"] * s
     dx = float(rng.uniform(-POSITION_JITTER, POSITION_JITTER))
     dy = float(rng.uniform(-POSITION_JITTER, POSITION_JITTER))
-    for t, (a, b, mix) in enumerate(schedule):
+    for t, (a, b) in enumerate(schedule):
         canvas = frames[t]
         canvas += profile["background"]
         canvas += rng.normal(0.0, BACKGROUND_NOISE, size=canvas.shape)
@@ -165,8 +165,8 @@ def _render_clip(seed: int, clip_index: int, target: tuple[int, ...], signer_id:
         else:
             block_b, tint_b = glyphs[b]
             step = scale  # transition frames smear across a larger move
-            _paste(canvas, block_a, tint_a, px, py, (1.0 - mix) * profile["contrast"])
-            _paste(canvas, block_b, tint_b, px + step, py, mix * profile["contrast"])
+            _paste(canvas, block_a, tint_a, px, py, 0.5 * profile["contrast"])
+            _paste(canvas, block_b, tint_b, px + step, py, 0.5 * profile["contrast"])
         x += dx
         y += dy
     np.clip(frames, 0.0, 1.0, out=frames)
@@ -334,6 +334,8 @@ def _index_clip(root: Path, line: str, alphabet: Alphabet) -> SyntheticClip:
     if len(fields) != 4:
         raise ValueError(f"expected 4 tab-separated fields, got {len(fields)}")
     rel, word, signer, handedness = fields
+    if not word:
+        raise ValueError("empty target word")
     missing = [ch for ch in word if ch not in alphabet.letters]
     if missing:
         raise ValueError(f"letter {missing[0]!r} of {word!r} is not in alphabet.txt")

@@ -28,6 +28,9 @@ LAYERNORM_EPS = 1e-5
 DROPOUT_ENCODER = 0.3
 DROPOUT_ATTENTION = 0.1
 
+# strides of the feature extractor's four 3x3, padding-1 convs
+CONV_STRIDES = (2, 2, 1, 1)
+
 # fixed multiplier on the classifier output; keeps the head an affine
 # map while giving the logits usable dynamic range at small step sizes
 LOGIT_SCALE = 8.0
@@ -184,19 +187,16 @@ class FeatureExtractor(Module):
 
     def __init__(self, cfg: ModelConfig, rng: np.random.Generator):
         d = cfg.feat_channels
-        self.conv1 = Conv2d(3, d, rng, stride=2)
-        self.conv2 = Conv2d(d, d, rng, stride=2)
-        self.conv3 = Conv2d(d, d, rng, stride=1)
-        self.conv4 = Conv2d(d, d, rng, stride=1)
+        self.conv1 = Conv2d(3, d, rng, stride=CONV_STRIDES[0])
+        self.conv2 = Conv2d(d, d, rng, stride=CONV_STRIDES[1])
+        self.conv3 = Conv2d(d, d, rng, stride=CONV_STRIDES[2])
+        self.conv4 = Conv2d(d, d, rng, stride=CONV_STRIDES[3])
         self.grid = cfg.feat_grid
 
     def __call__(self, frames: Tensor) -> Tensor:
         x = ad.transpose(frames, (1, 0, 2, 3))
         for conv in (self.conv1, self.conv2, self.conv3, self.conv4):
             x = conv(x)
-        if x.shape[2] < self.grid[0] or x.shape[3] < self.grid[1]:
-            raise ValueError(f"input frames too small: conv output {x.shape[2]}x{x.shape[3]} "
-                             f"below feature grid {self.grid[0]}x{self.grid[1]}")
         return adaptive_pool(ad.transpose(x, (1, 0, 2, 3)), self.grid)
 
 

@@ -22,7 +22,7 @@ from .data import DatasetSplit, SyntheticClip, horizontal_flip, normalize
 from .losses import combined_loss
 from .lm import CharNGramModel, lm_train
 from .metrics import evaluate_clips
-from .model import ModelConfig, Recognizer, motion_prior, save_checkpoint
+from .model import CONV_STRIDES, ModelConfig, Recognizer, motion_prior, save_checkpoint
 
 log = logging.getLogger(__name__)
 
@@ -61,6 +61,8 @@ class TrainConfig:
             raise ValueError("epochs, batch_size and beam_width must be >= 1")
         if not 0.0 <= self.lm_alpha <= 1.0:
             raise ValueError(f"lm weight must be in [0, 1]: {self.lm_alpha}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0: {self.seed}")
 
 
 class AdamW:
@@ -133,9 +135,18 @@ class TrainResult:
     skipped_clips: int
 
 
-def forward_frames(model: Recognizer, frames, training: bool = False, rng=None):
+def forward_frames(model: Recognizer, frames, training: bool = False, rng=None, name: str = "clip"):
     """Run ``model`` on raw RGB frames (T, 3, H, W) in [0, 1]: the motion
-    prior comes from the raw frames, the network reads them normalized."""
+    prior comes from the raw frames, the network reads them normalized.
+    Frames whose conv output is smaller than ``feat_grid`` raise a
+    ValueError that starts with ``name``."""
+    h, w = size = frames.shape[2:]
+    for stride in CONV_STRIDES:
+        size = [-(-n // stride) for n in size]  # a 3x3 kernel with padding 1 keeps ceil(n / stride)
+    gh, gw = model.cfg.feat_grid
+    if size[0] < gh or size[1] < gw:
+        raise ValueError(f"{name}: input frames too small: {h}x{w} frames give conv output "
+                         f"{size[0]}x{size[1]}, below feature grid {gh}x{gw}")
     priors = motion_prior(frames, model.cfg.feat_grid)
     return model.forward(normalize(frames), priors=priors, training=training, rng=rng)
 
@@ -147,9 +158,10 @@ def evaluate(model: Recognizer, clips: list[SyntheticClip], decoder: str = "gree
     results = []
     with no_grad():
         for i, clip in enumerate(clips):
-            dist = forward_frames(model, clip.frames)
+            name = f"{prefix}_{i:05d}"
+            dist = forward_frames(model, clip.frames, name=name)
             pred = dec.decode(dist, decoder, beam_width, lm, alpha, alphabet)
-            results.append((f"{prefix}_{i:05d}", pred, list(clip.target)))
+            results.append((name, pred, list(clip.target)))
     return evaluate_clips(results)
 
 
@@ -204,7 +216,7 @@ def train(model: Recognizer, split: DatasetSplit, cfg: TrainConfig,
                     skipped += 1
                     log.warning("skipping clip %d: target needs more frames than available", int(j))
                     continue
-                dist = forward_frames(model, clip.frames, training=True, rng=rng)
+                dist = forward_frames(model, clip.frames, training=True, rng=rng, name=f"clip {int(j)}")
                 report = combined_loss(dist, clip.target, cfg.mel_weight)
                 batch_info.append((int(j), clip, replace(report, node=None)))
                 if not math.isfinite(report.total):
@@ -280,9 +292,21 @@ class AblationTable:
         return "\n".join(lines) + "\n"
 
 
+def train_and_score(model: Recognizer, split: DatasetSplit, cfg: TrainConfig,
+                    lm: CharNGramModel) -> dict[str, float]:
+    """Train ``model`` in place, then return its dev mean letter accuracy
+    under each of ``DECODERS``."""
+    train(model, split, cfg)
+    return {
+        decoder: evaluate(model, split.dev, decoder=decoder, beam_width=cfg.beam_width, lm=lm,
+                          alpha=cfg.lm_alpha, alphabet=split.alphabet).mean_letter_accuracy
+        for decoder in dec.DECODERS
+    }
+
+
 def ablate(split: DatasetSplit, base_cfg: TrainConfig, model_cfg: ModelConfig) -> AblationTable:
-    """Train the four loss/augmentation combinations and score each with
-    greedy, beam, and beam-plus-language-model decoding on the dev set."""
+    """Train a fresh model on each of the four loss/augmentation combinations
+    and score it with ``train_and_score``."""
     corpus = [split.alphabet.decode(c.target) for c in split.train]
     lm = lm_train(corpus, order=base_cfg.lm_order)
     rows = []
@@ -292,14 +316,5 @@ def ablate(split: DatasetSplit, base_cfg: TrainConfig, model_cfg: ModelConfig) -
             mel_weight=base_cfg.mel_weight if use_mel else 0.0,
             flip_prob=base_cfg.flip_prob if use_flip else 0.0,
         )
-        model = Recognizer(model_cfg, seed=cfg.seed)
-        train(model, split, cfg)
-        cells = {}
-        for decoder in dec.DECODERS:
-            report = evaluate(
-                model, split.dev, decoder=decoder, beam_width=cfg.beam_width,
-                lm=lm, alpha=cfg.lm_alpha, alphabet=split.alphabet,
-            )
-            cells[decoder] = report.mean_letter_accuracy
-        rows.append((label, cells))
+        rows.append((label, train_and_score(Recognizer(model_cfg, seed=cfg.seed), split, cfg, lm)))
     return AblationTable(rows=rows)

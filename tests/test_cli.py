@@ -1,4 +1,5 @@
 import hashlib
+import re
 from pathlib import Path
 
 import pytest
@@ -292,6 +293,52 @@ class TestErrors:
         assert out == "" and err == "error: CTCSEQ_SEED must be an integer: 'abc'\n"
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("how", ["variable", "flag"])
+    def test_negative_seed_is_named(self, tmp_path, capsys, monkeypatch, how):
+        args = ["synth", "--n-clips", "4", "--out", str(tmp_path / "d")]
+        if how == "variable":
+            monkeypatch.setenv("CTCSEQ_SEED", "-1")
+        else:
+            args += ["--seed", "-1"]
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: seed must be >= 0: -1\n"
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("size, conv", [(4, "1x1"), (16, "4x4")])
+    def test_decode_of_a_clip_too_small_for_the_feature_grid_names_the_clip(self, tmp_path, capsys, size, conv):
+        import numpy as np
+
+        from ctcseq.data import write_tensor
+        from ctcseq.model import ModelConfig, Recognizer, save_checkpoint
+
+        ckpt, clip = tmp_path / "m.ckpt", tmp_path / "clip.tnsr"
+        save_checkpoint(Recognizer(ModelConfig(num_classes=5), seed=0), ckpt)
+        write_tensor(clip, np.random.default_rng(0).random((4, 3, size, size)))
+        assert main(["decode", "--ckpt", str(ckpt), "--clip", str(clip)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == (f"error: {clip}: input frames too small: {size}x{size} frames give "
+                                     f"conv output {conv}, below feature grid 8x8\n")
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_dataset_too_small_for_the_feature_grid_names_the_clip(self, cfg_file, tmp_path, capsys, command):
+        from ctcseq.ctc import Alphabet
+        from ctcseq.data import GenConfig, save_dataset, synthesize
+        from ctcseq.model import ModelConfig, Recognizer, save_checkpoint
+
+        data, ckpt = tmp_path / "data", tmp_path / "m.ckpt"
+        save_dataset(synthesize(0, 12, Alphabet(tuple("abcde")), GenConfig(frame_size=16, n_signers=5)), data)
+        save_checkpoint(Recognizer(ModelConfig(num_classes=5), seed=0), ckpt)
+        args = {"train": ["train", "--data", str(data), "--config", cfg_file, "--out", str(tmp_path / "run")],
+                "eval": ["eval", "--ckpt", str(ckpt), "--data", str(data)]}[command]
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert re.fullmatch({"train": r"error: clip \d+: input frames too small: 16x16 frames give conv output 4x4, "
+                                      r"below feature grid 6x6\n",
+                             "eval": r"error: dev_00000: input frames too small: 16x16 frames give conv output 4x4, "
+                                     r"below feature grid 8x8\n"}[command], err)
+
     def test_synth_rejects_negative_clip_count(self, tmp_path, capsys):
         assert main(["synth", "--n-clips", "-5", "--out", str(tmp_path / "o")]) == 1
         out, err = capsys.readouterr()
@@ -413,7 +460,8 @@ class TestErrors:
         (1, "azq", "train.index line 1: letter 'z' of 'azq' is not in alphabet.txt"),
         (3, None, "train.index line 1: expected 4 tab-separated fields, got 3"),
         (3, "both", "train.index line 1: handedness must be left or right, got 'both'"),
-    ], ids=["letter", "fields", "handedness"])
+        (1, "", "train.index line 1: empty target word"),
+    ], ids=["letter", "fields", "handedness", "empty-word"])
     def test_malformed_index_line_names_file_and_line(self, tmp_path, cfg_file, capsys, field, value, message):
         from ctcseq.ctc import Alphabet
         from ctcseq.data import GenConfig, save_dataset, synthesize

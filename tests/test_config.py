@@ -28,7 +28,7 @@ def test_each_section_has_exactly_its_keys():
     {
         "model": ModelConfig(feat_grid=(6, 5), pooled_grid=(3, 2), encoder_layers=0, context_window=0,
                              num_classes=3),
-        "train": TrainConfig(lr=3.7e-4, seed=-3, epochs=2, flip_prob=0.0, lm_alpha=1.0),
+        "train": TrainConfig(lr=3.7e-4, seed=3, epochs=2, flip_prob=0.0, lm_alpha=1.0),
         "data": GenConfig(frame_size=24, words=("abc", "cab", "b"), left_handed_rate=0.5,
                           train_fraction=0.6, dev_fraction=0.25),
     },

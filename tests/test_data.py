@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -110,6 +111,22 @@ class TestSynthesize:
         split = synthesize(2, 20, ALPHABET, cfg)
         words = {ALPHABET.decode(c.target) for c in split.train + split.dev + split.test}
         assert words <= {"ab", "cde"}
+
+    @pytest.mark.parametrize("seed, n_clips, cfg, digest", [
+        (123, 400, GenConfig(train_fraction=0.75, dev_fraction=0.15),
+         "ee9438072908c65282a185a093b47ac7d509abec820afcc0ba37136a21dcbba4"),
+        (900, 170, GenConfig(train_fraction=0.70, dev_fraction=0.20, left_handed_rate=0.07,
+                             words=("ab", "ade", "bce", "cab", "dec", "eda", "bad", "ace")),
+         "88886ce8cc3a46e37cfd4662ef24bfe8b0f01d337423bba935c622608d79316d"),
+    ], ids=["criterion8", "criterion9"])
+    def test_acceptance_data_is_pinned(self, seed, n_clips, cfg, digest):
+        """The criteria-8 and 9 clips, bit for bit: a new generator setting must leave them as they are."""
+        h = hashlib.sha256()
+        for name, clips in synthesize(seed, n_clips, ALPHABET, cfg).partitions().items():
+            for clip in clips:
+                h.update(repr((name, clip.frames.shape, clip.target, clip.signer_id, clip.handedness)).encode())
+                h.update(np.ascontiguousarray(clip.frames, dtype="<f8").tobytes())
+        assert h.hexdigest() == digest
 
 
 class TestFlip:

@@ -103,6 +103,10 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(flip_prob=1.5)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match=r"seed must be >= 0: -1"):
+            TrainConfig(seed=-1)
+
 
 class TestTrainLoop:
     def test_seeded_runs_reproduce_epoch_one_loss(self, tiny_split):

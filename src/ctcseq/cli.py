@@ -22,9 +22,6 @@ from .lm import lm_train, load_lm, save_lm
 from .model import Recognizer, load_checkpoint
 from .training import TrainingDiverged, ablate, evaluate, forward_frames, train
 
-DEFAULT_LETTERS = "abcde"
-
-
 def _seed_override(seed: int) -> int:
     env = os.environ.get("CTCSEQ_SEED")
     try:
@@ -70,16 +67,12 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _check_letters(model: Recognizer, alphabet: Alphabet, source: str) -> None:
-    if len(alphabet.letters) != model.cfg.num_classes:
-        raise ValueError(f"{source} has {len(alphabet.letters)} letters, "
-                         f"but the checkpoint has {model.cfg.num_classes}")
-
-
 def _cmd_eval(args) -> int:
-    model = load_checkpoint(args.ckpt)
+    model, letters = load_checkpoint(args.ckpt)
     split = load_dataset(args.data)
-    _check_letters(model, split.alphabet, f"the dataset in {args.data}")
+    if split.alphabet != letters:
+        raise ValueError(f"the dataset in {args.data} has letters {''.join(split.alphabet.letters)!r}, "
+                         f"but the checkpoint {args.ckpt} has {''.join(letters.letters)!r}")
     clips = split.partitions()[args.split]
     if not clips:
         raise ValueError(f"no clips in partition {args.split!r}")
@@ -98,9 +91,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    model = load_checkpoint(args.ckpt)
-    letters = Alphabet(tuple(args.alphabet))
-    _check_letters(model, letters, "--alphabet")
+    model, letters = load_checkpoint(args.ckpt)
     with no_grad():
         dist = forward_frames(model, read_clip(args.clip), name=args.clip)
     lm = load_lm(args.lm) if args.lm else None
@@ -144,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-clips", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
-    p.add_argument("--alphabet", default=DEFAULT_LETTERS)
+    p.add_argument("--alphabet", default="abcde")
     p.set_defaults(handler=_cmd_synth)
 
     p = sub.add_parser("train", help="train a recognizer")
@@ -168,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decode", parents=[decoding], help="decode a single clip container")
     p.add_argument("--clip", required=True)
-    p.add_argument("--alphabet", default=DEFAULT_LETTERS)
     p.set_defaults(handler=_cmd_decode)
 
     p = sub.add_parser("lm-train", help="train a character n-gram model")

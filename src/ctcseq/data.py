@@ -28,6 +28,8 @@ _GLYPH_SEED = 0x67_6C_79
 _SIGNER_SEED = 0x73_67_6E
 
 MIN_FRAMES_PER_LETTER = 2
+MAX_FRAMES_PER_LETTER = 3
+GLYPH_CELLS = 7  # side of each letter's square glyph pattern, in cells
 BACKGROUND_NOISE = 0.02  # std of the per-pixel Gaussian noise
 POSITION_JITTER = 1.5  # bound of the per-clip drift in pixels per frame
 
@@ -37,9 +39,6 @@ class GenConfig:
     frame_size: int = 64
     min_letters: int = 2
     max_letters: int = 4
-    max_frames_per_letter: int = 3
-    transition_frames: int = 1
-    glyph_cells: int = 7
     n_signers: int = 12
     left_handed_rate: float = 0.07
     train_fraction: float = 0.70
@@ -49,14 +48,9 @@ class GenConfig:
     def __post_init__(self):
         if self.min_letters < 1 or self.max_letters < self.min_letters:
             raise ValueError("invalid letters-per-clip range")
-        for key in ("frame_size", "glyph_cells", "n_signers"):
+        for key in ("frame_size", "n_signers"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1: {getattr(self, key)}")
-        if self.transition_frames < 0:
-            raise ValueError(f"transition_frames must be >= 0: {self.transition_frames}")
-        if self.max_frames_per_letter < MIN_FRAMES_PER_LETTER:
-            raise ValueError(f"max_frames_per_letter must be >= {MIN_FRAMES_PER_LETTER}: "
-                             f"{self.max_frames_per_letter}")
         if not 0.0 <= self.left_handed_rate <= 1.0:
             raise ValueError("left_handed_rate must be in [0, 1]")
         if not 0.0 < self.train_fraction + self.dev_fraction < 1.0:
@@ -92,10 +86,10 @@ class DatasetSplit:
         return sum(map(len, signers)) == len(set().union(*signers))
 
 
-def _glyph(letter_index: int, cfg: GenConfig) -> tuple[np.ndarray, np.ndarray]:
+def _glyph(letter_index: int) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic per-letter pattern and RGB tint."""
     rng = np.random.default_rng([_GLYPH_SEED, letter_index])
-    g = cfg.glyph_cells
+    g = GLYPH_CELLS
     pattern = (rng.random((g, g)) < 0.5).astype(np.float64)
     # guarantee some ink so no letter renders as an empty block
     pattern[g // 2, g // 2] = 1.0
@@ -134,17 +128,17 @@ def _render_clip(seed: int, clip_index: int, target: tuple[int, ...], signer_id:
 
     glyphs = []
     for letter in target:
-        pattern, tint = _glyph(letter, cfg)
+        pattern, tint = _glyph(letter)
         block = np.kron(pattern, np.ones((scale, scale)))
         glyphs.append((block, tint))
 
     # frame schedule: hold each letter, one blurred transition in between
     schedule: list[tuple[int, int | None]] = []  # (glyph_a, glyph_b); a transition shows both at half weight
     for i in range(len(target)):
-        hold = int(rng.integers(MIN_FRAMES_PER_LETTER, cfg.max_frames_per_letter + 1))
+        hold = int(rng.integers(MIN_FRAMES_PER_LETTER, MAX_FRAMES_PER_LETTER + 1))
         schedule.extend((i, None) for _ in range(hold))
         if i + 1 < len(target):
-            schedule.extend((i, i + 1) for _ in range(cfg.transition_frames))
+            schedule.append((i, i + 1))
 
     t_total = len(schedule)
     frames = np.zeros((t_total, 3, s, s))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+import zlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-from .ctc import FrameDistributionSeq
+from .ctc import Alphabet, FrameDistributionSeq
 from .data import read_exact
 
 MASK_OFF = -1e9
@@ -36,7 +37,7 @@ CONV_STRIDES = (2, 2, 1, 1)
 LOGIT_SCALE = 8.0
 
 CKPT_MAGIC = b"CTSQCKPT"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -382,23 +383,20 @@ def motion_prior(frames: np.ndarray, grid: tuple[int, int]) -> np.ndarray:
 # checkpoints
 
 
-def save_checkpoint(model: Recognizer, path, extra: dict | None = None) -> None:
-    """Versioned container: JSON manifest (config echo, names, shapes,
-    offsets) followed by raw little-endian float64 arrays."""
+def save_checkpoint(model: Recognizer, path, alphabet: Alphabet, extra: dict | None = None) -> None:
+    """Versioned container: magic, manifest length, CRC32 of everything after
+    it, the JSON manifest (config echo, letters, parameter names and shapes),
+    then the parameters as raw little-endian float64 arrays back to back."""
+    if len(alphabet.letters) != model.cfg.num_classes:
+        raise ValueError(f"alphabet {''.join(alphabet.letters)!r} does not fit {model.cfg.num_classes} classes")
     params = model.named_parameters()
-    entries = []
-    offset = 0
-    blobs = []
-    for name, p in params.items():
-        blob = p.data.astype("<f8").tobytes()
-        entries.append({"name": name, "shape": list(p.data.shape), "offset": offset})
-        offset += len(blob)
-        blobs.append(blob)
+    payload = b"".join(p.data.astype("<f8").tobytes() for p in params.values())
     manifest = {
         "version": CKPT_VERSION,
         "model_config": asdict(model.cfg),
-        "params": entries,
-        "payload_bytes": offset,
+        "letters": "".join(alphabet.letters),
+        "params": [{"name": name, "shape": list(p.data.shape)} for name, p in params.items()],
+        "payload_bytes": len(payload),
     }
     if extra:
         manifest["extra"] = extra
@@ -408,44 +406,58 @@ def save_checkpoint(model: Recognizer, path, extra: dict | None = None) -> None:
     tmp = path.with_suffix(path.suffix + ".tmp")
     with open(tmp, "wb") as fh:
         fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<Q", len(mbytes)))
+        fh.write(struct.pack("<QI", len(mbytes), zlib.crc32(payload, zlib.crc32(mbytes))))
         fh.write(mbytes)
-        for blob in blobs:
-            fh.write(blob)
+        fh.write(payload)
     tmp.replace(path)
 
 
-def load_checkpoint(path) -> Recognizer:
+def _json_object(raw: bytes) -> dict | None:
+    try:
+        value = json.loads(raw.decode("utf-8"))
+    except ValueError:
+        return None
+    return value if isinstance(value, dict) else None
+
+
+def load_checkpoint(path) -> tuple[Recognizer, Alphabet]:
+    """The model and letters ``save_checkpoint`` wrote; a corrupt or
+    malformed file ends in a ValueError that names it."""
     path = Path(path)
     with open(path, "rb") as fh:
         if fh.read(8) != CKPT_MAGIC:
             raise ValueError(f"not a checkpoint file: {path}")
         (mlen,) = struct.unpack("<Q", read_exact(fh, 8, path))
-        mbytes = read_exact(fh, mlen, path)
+        sealed = read_exact(fh, 4 + mlen, path)  # the CRC, then the manifest
         payload = fh.read()
-    try:
-        manifest = json.loads(mbytes.decode("utf-8"))
-    except ValueError as exc:
-        raise ValueError(f"undecodable checkpoint manifest in {path}: {exc}") from None
-    if (not isinstance(manifest, dict) or not {"model_config", "params", "payload_bytes"} <= manifest.keys()
-            or not isinstance(manifest["params"], list)):
-        raise ValueError(f"malformed checkpoint manifest in {path}: "
-                         "expected an object with model_config, params (a list) and payload_bytes")
+    manifest = _json_object(sealed[4:])
+    if manifest is None:  # a v1 file has no CRC field, so its manifest starts four bytes earlier
+        manifest = _json_object(sealed[:-4])
+    if manifest is None:
+        raise ValueError(f"checkpoint manifest in {path} is not a JSON object")
     if manifest.get("version") != CKPT_VERSION:
         raise ValueError(f"unsupported checkpoint version in {path}: {manifest.get('version')}")
+    if zlib.crc32(payload, zlib.crc32(sealed[4:])) != int.from_bytes(sealed[:4], "little"):
+        raise ValueError(f"checkpoint {path} is corrupt: its CRC32 does not match its bytes")
+    if (not {"model_config", "letters", "params", "payload_bytes"} <= manifest.keys()
+            or not isinstance(manifest["letters"], str) or not isinstance(manifest["params"], list)):
+        raise ValueError(f"malformed checkpoint manifest in {path}: expected model_config, "
+                         "letters (a string), params (a list) and payload_bytes")
     if len(payload) != manifest["payload_bytes"]:
-        raise ValueError(
-            f"checkpoint payload truncated in {path}: {len(payload)} != {manifest['payload_bytes']} bytes"
-        )
+        raise ValueError(f"checkpoint payload of {path} has {len(payload)} bytes, not {manifest['payload_bytes']}")
     try:
         model = Recognizer(ModelConfig(**manifest["model_config"]), seed=0)
+        alphabet = Alphabet(tuple(manifest["letters"]))
+        if len(alphabet.letters) != model.cfg.num_classes:
+            raise ValueError(f"letters {manifest['letters']!r} do not fit {model.cfg.num_classes} classes")
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"malformed model_config in checkpoint {path}: {exc}") from None
+        raise ValueError(f"malformed model_config or letters in checkpoint {path}: {exc}") from None
     params = model.named_parameters()
     seen = set()
+    offset = 0
     for entry in manifest["params"]:
         try:
-            name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
+            name, shape = entry["name"], tuple(entry["shape"])
         except (KeyError, TypeError):
             raise ValueError(f"malformed parameter entry in checkpoint {path}: {entry!r}") from None
         if not isinstance(name, str) or name not in params:
@@ -453,14 +465,15 @@ def load_checkpoint(path) -> Recognizer:
         p = params[name]
         if p.data.shape != shape:
             raise ValueError(f"shape mismatch for {name!r} in {path}: checkpoint {shape}, model {p.data.shape}")
-        if type(offset) is not int or not 0 <= offset <= len(payload) - 8 * p.data.size:
-            raise ValueError(f"offset {offset!r} of {name!r} in {path} is outside the {len(payload)}-byte payload")
+        if offset + 8 * p.data.size > len(payload):
+            raise ValueError(f"parameter {name!r} runs past the {len(payload)}-byte payload of {path}")
         arr = np.frombuffer(payload, dtype="<f8", count=p.data.size, offset=offset).reshape(shape)
         if not np.isfinite(arr).all():
             raise ValueError(f"non-finite value in parameter {name!r} of checkpoint {path}")
         p.data = arr.astype(np.float64)
+        offset += 8 * p.data.size
         seen.add(name)
     missing = set(params) - seen
     if missing:
         raise ValueError(f"checkpoint {path} missing parameters: {sorted(missing)}")
-    return model
+    return model, alphabet

@@ -242,7 +242,7 @@ def train(model: Recognizer, split: DatasetSplit, cfg: TrainConfig,
             best_acc = acc
             best_epoch = epoch
             if out is not None:
-                save_checkpoint(model, out / "best.ckpt", extra={"epoch": epoch, "dev_acc": acc})
+                save_checkpoint(model, out / "best.ckpt", split.alphabet, extra={"epoch": epoch, "dev_acc": acc})
         if out is not None:
             (out / "epoch.log").write_text(
                 "".join(f"{r.epoch}\t{r.train_loss:.10f}\t{r.dev_acc_greedy:.6f}\n" for r in records),

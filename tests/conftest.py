@@ -1,8 +1,13 @@
+import json
+import struct
+import zlib
+
 import numpy as np
 from hypothesis import strategies as st
 
 from ctcseq.autodiff import Tensor
 from ctcseq.ctc import FrameDistributionSeq
+from ctcseq.model import CKPT_MAGIC
 
 
 def dist_of(probs) -> FrameDistributionSeq:
@@ -24,3 +29,17 @@ def write_corrupted(path, raw: bytes, edits) -> None:
     # a new file each time: truncating one in place can force a slow flush
     path.unlink(missing_ok=True)
     path.write_bytes(bytes(buf))
+
+
+def checkpoint_parts(raw: bytes) -> tuple[dict, bytes]:
+    """The JSON manifest and the payload of checkpoint bytes."""
+    end = 20 + int.from_bytes(raw[8:16], "little")
+    return json.loads(raw[20:end]), raw[end:]
+
+
+def sealed_checkpoint(manifest, payload: bytes) -> bytes:
+    """Checkpoint bytes of ``manifest`` (any JSON value) and ``payload`` under
+    a matching CRC32, so that a hand edit reaches the check meant for it."""
+    mbytes = json.dumps(manifest).encode("utf-8")
+    crc = zlib.crc32(payload, zlib.crc32(mbytes))
+    return CKPT_MAGIC + struct.pack("<QI", len(mbytes), crc) + mbytes + payload

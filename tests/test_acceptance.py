@@ -322,10 +322,10 @@ def test_criterion_12_determinism_and_round_trips(tmp_path):
 
         model = r1.model
         path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path)
-        loaded = load_checkpoint(path)
+        save_checkpoint(model, path, alphabet)
+        loaded, letters = load_checkpoint(path)
         path2 = tmp_path / "model2.ckpt"
-        save_checkpoint(loaded, path2)
+        save_checkpoint(loaded, path2, letters)
         assert path.read_bytes() == path2.read_bytes()
 
         lm = lm_train(["abc", "cab", "bbc"], order=2, smoothing_alpha=0.75)

@@ -1,10 +1,15 @@
+import argparse
 import hashlib
 import re
 from pathlib import Path
 
 import pytest
 
-from ctcseq.cli import main
+from conftest import checkpoint_parts, sealed_checkpoint
+from ctcseq.cli import build_parser, main
+from ctcseq.ctc import Alphabet
+
+ABCDE = Alphabet(tuple("abcde"))
 
 FAST_CONFIG = """
 [model]
@@ -26,6 +31,24 @@ frame_size = 32
 n_signers = 5
 max_letters = 2
 """
+
+
+# every option of every command; a new flag, or a value the code can work out
+# turned back into one, is an edit here
+OPTIONS = {
+    "synth": {"--seed", "--n-clips", "--out", "--config", "--alphabet"},
+    "train": {"--data", "--config", "--out"},
+    "eval": {"--ckpt", "--decoder", "--beam-width", "--lm", "--alpha", "--data", "--split", "--out"},
+    "decode": {"--ckpt", "--decoder", "--beam-width", "--lm", "--alpha", "--clip"},
+    "lm-train": {"--corpus", "--order", "--smoothing-alpha", "--out"},
+    "ablate": {"--data", "--config", "--out"},
+}
+
+
+def test_each_command_has_exactly_its_options():
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {name: {opt for a in p._actions for opt in a.option_strings} - {"-h", "--help"}
+            for name, p in commands.choices.items()} == OPTIONS
 
 
 def dir_digest(root: Path) -> dict:
@@ -102,11 +125,11 @@ class TestPipeline:
         from ctcseq.model import load_checkpoint, save_checkpoint
 
         data = workspace / "data"
-        model = load_checkpoint(workspace / "run" / "best.ckpt")
+        model, letters = load_checkpoint(workspace / "run" / "best.ckpt")
         model.classifier.weight.data *= 400.0
         model.classifier.bias.data *= 400.0
         ckpt = tmp_path / "sharp.ckpt"
-        save_checkpoint(model, ckpt)
+        save_checkpoint(model, ckpt, letters)
 
         out_g, out_b = tmp_path / "g", tmp_path / "b"
         assert main(["eval", "--ckpt", str(ckpt), "--data", str(data),
@@ -173,7 +196,7 @@ class TestErrors:
         cfg = ModelConfig(feat_channels=4, feat_grid=(4, 4), pooled_grid=(2, 2), embed_dim=8,
                           encoder_layers=1, heads=2, ffn_hidden=8, num_classes=5)
         ckpt, clip = tmp_path / "m.ckpt", tmp_path / "clip.tnsr"
-        save_checkpoint(Recognizer(cfg, seed=0), ckpt)
+        save_checkpoint(Recognizer(cfg, seed=0), ckpt, ABCDE)
         write_tensor(clip, np.random.default_rng(0).random((4, 3, 16, 16)))
         return ["decode", "--ckpt", str(ckpt), "--clip", str(clip)]
 
@@ -197,7 +220,6 @@ class TestErrors:
                                                                    command, shape, fill):
         import numpy as np
 
-        from ctcseq.ctc import Alphabet
         from ctcseq.data import GenConfig, save_dataset, synthesize, write_tensor
 
         data = tmp_path / "data"
@@ -216,7 +238,6 @@ class TestErrors:
         (b"\xffabc\n", "can't decode byte 0xff"),
     ], ids=["repeated", "empty", "not-utf8"])
     def test_malformed_alphabet_names_the_file(self, cfg_file, tmp_path, capsys, content, message):
-        from ctcseq.ctc import Alphabet
         from ctcseq.data import GenConfig, save_dataset, synthesize
 
         data = tmp_path / "data"
@@ -228,32 +249,37 @@ class TestErrors:
         assert f"{data / 'alphabet.txt'}: " in err and message in err
 
     def test_eval_rejects_non_finite_checkpoint(self, decode_files, tmp_path, capsys):
-        from ctcseq.ctc import Alphabet
         from ctcseq.data import GenConfig, save_dataset, synthesize
 
         ckpt = Path(decode_files[2])
-        raw = bytearray(ckpt.read_bytes())
-        raw[-8:] = bytes.fromhex("000000000000f87f")  # a little-endian float64 NaN
-        ckpt.write_bytes(bytes(raw))
+        manifest, payload = checkpoint_parts(ckpt.read_bytes())
+        nan = bytes.fromhex("000000000000f87f")  # a little-endian float64 NaN
+        ckpt.write_bytes(sealed_checkpoint(manifest, payload[:-8] + nan))
         save_dataset(synthesize(0, 6, Alphabet(tuple("abcde")), GenConfig(frame_size=16)), tmp_path / "data")
         assert main(["eval", "--ckpt", str(ckpt), "--data", str(tmp_path / "data")]) == 1
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error:") and err.count("\n") == 1
-        assert "non-finite" in err and "m.ckpt" in err
+        assert out == "" and err == f"error: non-finite value in parameter 'classifier.bias' of checkpoint {ckpt}\n"
 
     def test_decode_beam_lm_without_lm(self, decode_files, capsys):
         assert main(decode_files + ["--decoder", "beam-lm"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
-    def test_decode_rejects_alphabet_of_wrong_size(self, decode_files, capsys):
-        assert main(decode_files + ["--alphabet", "ab"]) == 1
-        out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error:")
-        assert main(decode_files + ["--alphabet", "abcde"]) == 0
+    def test_decode_prints_the_checkpoints_letters(self, decode_files, capsys):
+        from ctcseq.model import load_checkpoint, save_checkpoint
+
+        ckpt = Path(decode_files[2])
+        model, _ = load_checkpoint(ckpt)
+        model.classifier.bias.data[0] = 5.0  # every frame's argmax is the first letter
+        save_checkpoint(model, ckpt, Alphabet(tuple("vwxyz")))
+        assert main(decode_files) == 0
+        assert capsys.readouterr().out == "v\n"
+        with pytest.raises(SystemExit) as exc:
+            main(decode_files + ["--alphabet", "vwxyz"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --alphabet vwxyz" in capsys.readouterr().err
 
     def test_eval_rejects_dataset_alphabet_of_wrong_size(self, decode_files, tmp_path, capsys):
-        from ctcseq.ctc import Alphabet
         from ctcseq.data import GenConfig, save_dataset, synthesize
 
         for letters in ("xyz", "abcde"):
@@ -261,8 +287,18 @@ class TestErrors:
         assert main(["eval", "--ckpt", decode_files[2], "--data", str(tmp_path / "xyz")]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
-        assert "3 letters" in err and "has 5" in err
+        assert "letters 'xyz'" in err and "has 'abcde'" in err
         assert main(["eval", "--ckpt", decode_files[2], "--data", str(tmp_path / "abcde")]) == 0
+
+    def test_eval_rejects_dataset_with_other_letters(self, decode_files, tmp_path, capsys):
+        from ctcseq.data import GenConfig, save_dataset, synthesize
+
+        data = tmp_path / "vwxyz"
+        save_dataset(synthesize(0, 6, Alphabet(tuple("vwxyz")), GenConfig(frame_size=16)), data)
+        assert main(["eval", "--ckpt", decode_files[2], "--data", str(data)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == (f"error: the dataset in {data} has letters 'vwxyz', "
+                                     f"but the checkpoint {decode_files[2]} has 'abcde'\n")
 
     def test_train_divergence_is_one_error_line(self, tmp_path, capsys):
         cfg = tmp_path / "diverge.ini"
@@ -313,7 +349,7 @@ class TestErrors:
         from ctcseq.model import ModelConfig, Recognizer, save_checkpoint
 
         ckpt, clip = tmp_path / "m.ckpt", tmp_path / "clip.tnsr"
-        save_checkpoint(Recognizer(ModelConfig(num_classes=5), seed=0), ckpt)
+        save_checkpoint(Recognizer(ModelConfig(num_classes=5), seed=0), ckpt, ABCDE)
         write_tensor(clip, np.random.default_rng(0).random((4, 3, size, size)))
         assert main(["decode", "--ckpt", str(ckpt), "--clip", str(clip)]) == 1
         out, err = capsys.readouterr()
@@ -322,13 +358,12 @@ class TestErrors:
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_dataset_too_small_for_the_feature_grid_names_the_clip(self, cfg_file, tmp_path, capsys, command):
-        from ctcseq.ctc import Alphabet
         from ctcseq.data import GenConfig, save_dataset, synthesize
         from ctcseq.model import ModelConfig, Recognizer, save_checkpoint
 
         data, ckpt = tmp_path / "data", tmp_path / "m.ckpt"
         save_dataset(synthesize(0, 12, Alphabet(tuple("abcde")), GenConfig(frame_size=16, n_signers=5)), data)
-        save_checkpoint(Recognizer(ModelConfig(num_classes=5), seed=0), ckpt)
+        save_checkpoint(Recognizer(ModelConfig(num_classes=5), seed=0), ckpt, ABCDE)
         args = {"train": ["train", "--data", str(data), "--config", cfg_file, "--out", str(tmp_path / "run")],
                 "eval": ["eval", "--ckpt", str(ckpt), "--data", str(data)]}[command]
         assert main(args) == 1
@@ -357,11 +392,10 @@ class TestErrors:
 
     def test_decode_malformed_checkpoint_manifest(self, decode_files, capsys):
         ckpt = Path(decode_files[2])
-        ckpt.write_bytes(b"CTSQCKPT" + (2).to_bytes(8, "little") + b"[]")
+        ckpt.write_bytes(sealed_checkpoint([], b""))
         assert main(decode_files) == 1
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("error:") and err.count("\n") == 1
-        assert "m.ckpt" in err
+        assert out == "" and err == f"error: checkpoint manifest in {ckpt} is not a JSON object\n"
 
     def test_decode_truncated_clip(self, decode_files, capsys):
         clip = Path(decode_files[-1])
@@ -399,11 +433,8 @@ class TestErrors:
         ("model", "embed_dim = 0", ">= 1"),
         ("model", "ffn_hidden = 0", ">= 1"),
         ("model", "pooled_grid = 0,0", ">= 1"),
-        ("data", "glyph_cells = 0", ">= 1"),
         ("data", "frame_size = 0", "frame_size must be >= 1"),
-        ("data", "transition_frames = -1", "transition_frames must be >= 0"),
         ("data", "n_signers = 0", "n_signers must be >= 1"),
-        ("data", "max_frames_per_letter = 1", "max_frames_per_letter must be >="),
         ("data", "words = xyz", "words use letters 'xyz'"),
         ("data", "channels = 4", "unknown config key"),
         ("data", "signer_disjoint = true", "unknown config key"),
@@ -420,6 +451,9 @@ class TestErrors:
         ("data", "min_frames_per_letter = 2", "unknown config key"),
         ("data", "background_noise = 0.02", "unknown config key"),
         ("data", "position_jitter = 1.5", "unknown config key"),
+        ("data", "max_frames_per_letter = 1", "unknown config key"),
+        ("data", "transition_frames = -1", "unknown config key"),
+        ("data", "glyph_cells = 0", "unknown config key"),
         # malformed files and values name the file or the key
         ("train", "lr = 1\nlr = 2", "bad.ini' [line 3]: option 'lr' in section 'train' already exists"),
         ("train", "[model", "bad.ini' [line 2]: '[model\\n'"),
@@ -463,7 +497,6 @@ class TestErrors:
         (1, "", "train.index line 1: empty target word"),
     ], ids=["letter", "fields", "handedness", "empty-word"])
     def test_malformed_index_line_names_file_and_line(self, tmp_path, cfg_file, capsys, field, value, message):
-        from ctcseq.ctc import Alphabet
         from ctcseq.data import GenConfig, save_dataset, synthesize
 
         data = tmp_path / "data"

@@ -13,14 +13,14 @@ KEYS = {
               "ffn_hidden", "context_window", "num_classes"},
     "train": {"lr", "epochs", "mel_weight", "flip_prob", "beam_width", "lm_alpha", "lm_order", "seed",
               "batch_size"},
-    "data": {"frame_size", "min_letters", "max_letters", "max_frames_per_letter", "transition_frames",
-             "glyph_cells", "n_signers", "left_handed_rate", "train_fraction", "dev_fraction", "words"},
+    "data": {"frame_size", "min_letters", "max_letters", "n_signers", "left_handed_rate", "train_fraction",
+             "dev_fraction", "words"},
 }
 
 
 def test_each_section_has_exactly_its_keys():
     assert {section: {f.name for f in dataclasses.fields(cls)} for section, cls in SECTIONS.items()} == KEYS
-    assert sum(map(len, KEYS.values())) == 29
+    assert sum(map(len, KEYS.values())) == 26
 
 
 @pytest.mark.parametrize("configs", [

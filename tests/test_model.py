@@ -1,16 +1,20 @@
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from conftest import CORRUPTIONS, write_corrupted
+from conftest import CORRUPTIONS, checkpoint_parts, sealed_checkpoint, write_corrupted
 from autodiff_reference import finite_difference_check
 from conv_reference import direct_conv2d
 from ctcseq.autodiff import Tensor
+from ctcseq.ctc import Alphabet
 from ctcseq.data import normalize
 from ctcseq.losses import combined_loss
 from ctcseq.model import (
+    CKPT_MAGIC,
     ModelConfig,
     Recognizer,
     adaptive_pool,
@@ -33,6 +37,7 @@ TOY = ModelConfig(
     ffn_hidden=16,
     num_classes=4,
 )
+ABCD = Alphabet(tuple("abcd"))
 
 
 def toy_frames(rng, t=3, size=24):
@@ -42,7 +47,7 @@ def toy_frames(rng, t=3, size=24):
 @pytest.fixture(scope="module")
 def checkpoint_bytes(tmp_path_factory):
     path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
-    save_checkpoint(Recognizer(TOY, seed=0), path)
+    save_checkpoint(Recognizer(TOY, seed=0), path, ABCD)
     return path.read_bytes()
 
 
@@ -388,15 +393,21 @@ class TestCheckpoints:
         frames, priors = normalize(raw), motion_prior(raw, TOY.feat_grid)
         before = model.forward(frames, priors).log_probs.data
         path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path, extra={"note": "test"})
-        loaded = load_checkpoint(path)
+        save_checkpoint(model, path, Alphabet(tuple("wxyz")), extra={"note": "test"})
+        loaded, letters = load_checkpoint(path)
         after = loaded.forward(frames, priors).log_probs.data
         assert np.array_equal(before, after)
+        assert letters == Alphabet(tuple("wxyz"))
+
+    def test_save_rejects_letters_that_do_not_fit_the_classes(self, tmp_path):
+        with pytest.raises(ValueError, match=r"alphabet 'abcde' does not fit 4 classes"):
+            save_checkpoint(Recognizer(TOY, seed=0), tmp_path / "model.ckpt", Alphabet(tuple("abcde")))
+        assert not (tmp_path / "model.ckpt").exists()
 
     def test_truncated_payload_rejected(self, tmp_path):
         model = Recognizer(TOY, seed=0)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path)
+        save_checkpoint(model, path, ABCD)
         raw = path.read_bytes()
         path.write_bytes(raw[:-16])
         with pytest.raises(ValueError):
@@ -411,12 +422,12 @@ class TestCheckpoints:
     def test_truncated_file_rejected_naming_the_file(self, tmp_path):
         model = Recognizer(TOY, seed=0)
         full = tmp_path / "model.ckpt"
-        save_checkpoint(model, full)
+        save_checkpoint(model, full, ABCD)
         raw = full.read_bytes()
-        # every offset of the magic and the manifest length, a few inside
-        # the JSON manifest, a few inside the payload
-        manifest_end = 16 + int.from_bytes(raw[8:16], "little")
-        cuts = [*range(17), manifest_end // 2, manifest_end - 1, manifest_end, manifest_end + 5,
+        # every offset of the magic, the manifest length and the CRC, a few
+        # inside the JSON manifest, a few inside the payload
+        manifest_end = 20 + int.from_bytes(raw[8:16], "little")
+        cuts = [*range(21), manifest_end // 2, manifest_end - 1, manifest_end, manifest_end + 5,
                 len(raw) // 2, len(raw) - 8, len(raw) - 1]
         path = tmp_path / "cut.ckpt"
         for cut in cuts:
@@ -427,62 +438,73 @@ class TestCheckpoints:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_payload_rejected_naming_file_and_parameter(self, tmp_path, value):
         path = tmp_path / "bad.ckpt"
-        save_checkpoint(Recognizer(TOY, seed=0), path)
-        raw = bytearray(path.read_bytes())
-        end = 16 + int.from_bytes(raw[8:16], "little")
-        entry = next(e for e in json.loads(raw[16:end])["params"] if e["name"] == "refiner.w_k")
-        at = end + entry["offset"] + 8 * 5
-        raw[at : at + 8] = np.float64(value).tobytes()
-        path.write_bytes(bytes(raw))
+        save_checkpoint(Recognizer(TOY, seed=0), path, ABCD)
+        manifest, payload = checkpoint_parts(path.read_bytes())
+        names = [e["name"] for e in manifest["params"]]
+        shapes = [e["shape"] for e in manifest["params"][: names.index("refiner.w_k")]]
+        at = 8 * sum(int(np.prod(shape)) for shape in shapes) + 8 * 5
+        payload = payload[:at] + np.float64(value).tobytes() + payload[at + 8 :]
+        path.write_bytes(sealed_checkpoint(manifest, payload))
         with pytest.raises(ValueError, match=r"non-finite.*'refiner\.w_k'.*bad\.ckpt"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("edit", [
-        lambda m: [m],
-        lambda m: {k: v for k, v in m.items() if k != "payload_bytes"},
-        lambda m: {k: v for k, v in m.items() if k != "params"},
-        lambda m: {**m, "model_config": {**m["model_config"], "channels": 3}},
-        lambda m: {**m, "params": [{"name": "blend_raw"}, *m["params"][1:]]},
-        lambda m: {**m, "params": 5},
-        lambda m: with_param(m, 0, offset="0"),
-        lambda m: with_param(m, 0, offset=10**30),
-        lambda m: with_param(m, 0, offset=-8),
-        lambda m: with_param(m, -1, offset=m["payload_bytes"] - 4),
-        lambda m: with_param(m, 0, name=["blend_raw"]),
-        lambda m: with_param(m, 0, name="no_such_param"),
-        lambda m: with_param(m, 0, shape=[2]),
-        lambda m: {**m, "params": m["params"][1:]},
-        lambda m: {**m, "version": 2},
-        lambda m: {**m, "model_config": {**m["model_config"], "heads": 2.0}},
-        lambda m: {**m, "model_config": {**m["model_config"], "feat_grid": [6]}},
-        lambda m: {**m, "model_config": {**m["model_config"], "logit_scale": 8.0}},
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: [m], "checkpoint manifest in .*odd.ckpt is not a JSON object"),
+        (lambda m: {k: v for k, v in m.items() if k != "payload_bytes"}, "malformed checkpoint manifest in"),
+        (lambda m: {k: v for k, v in m.items() if k != "params"}, "malformed checkpoint manifest in"),
+        (lambda m: {**m, "model_config": {**m["model_config"], "channels": 3}}, "malformed model_config or letters"),
+        (lambda m: {**m, "params": [{"name": "blend_raw"}, *m["params"][1:]]}, "malformed parameter entry"),
+        (lambda m: {**m, "params": 5}, "malformed checkpoint manifest in"),
+        (lambda m: with_param(m, 0, name=["blend_raw"]), r"parameter \['blend_raw'\] .* not present in model"),
+        (lambda m: with_param(m, 0, name="no_such_param"), "parameter 'no_such_param' .* not present in model"),
+        (lambda m: with_param(m, 0, shape=[2]), r"shape mismatch for '.*' .*: checkpoint \(2,\)"),
+        (lambda m: {**m, "params": m["params"][1:]}, "missing parameters"),
+        (lambda m: {**m, "version": 1}, "unsupported checkpoint version in .*odd.ckpt: 1$"),
+        (lambda m: {**m, "model_config": {**m["model_config"], "heads": 2.0}}, "malformed model_config or letters"),
+        (lambda m: {**m, "model_config": {**m["model_config"], "feat_grid": [6]}},
+         "malformed model_config or letters"),
+        (lambda m: {**m, "model_config": {**m["model_config"], "logit_scale": 8.0}},
+         "malformed model_config or letters"),
+        (lambda m: {k: v for k, v in m.items() if k != "letters"}, "letters \\(a string\\)"),
+        (lambda m: {**m, "letters": ["a", "b", "c", "d"]}, "letters \\(a string\\)"),
+        (lambda m: {**m, "letters": "abca"}, "alphabet letters must be distinct"),
+        (lambda m: {**m, "letters": "abc"}, "letters 'abc' do not fit 4 classes"),
     ], ids=["not-an-object", "no-payload-bytes", "no-params", "unknown-config-key", "entry-without-shape",
-            "params-not-a-list", "string-offset", "huge-offset", "negative-offset", "offset-past-payload",
-            "list-name", "unknown-name", "wrong-shape", "missing-param", "version-2", "float-heads",
-            "one-entry-grid", "logit-scale-key"])
-    def test_malformed_manifest_rejected_naming_the_file(self, tmp_path, edit):
+            "params-not-a-list", "list-name", "unknown-name", "wrong-shape", "missing-param", "version-1",
+            "float-heads", "one-entry-grid", "logit-scale-key", "no-letters", "letters-not-a-string",
+            "repeated-letter", "letters-not-num-classes"])
+    def test_malformed_manifest_rejected_naming_the_file(self, tmp_path, edit, message):
         path = tmp_path / "odd.ckpt"
-        save_checkpoint(Recognizer(TOY, seed=0), path)
-        raw = path.read_bytes()
-        end = 16 + int.from_bytes(raw[8:16], "little")
-        mbytes = json.dumps(edit(json.loads(raw[16:end]))).encode("utf-8")
-        path.write_bytes(raw[:8] + len(mbytes).to_bytes(8, "little") + mbytes + raw[end:])
-        with pytest.raises(ValueError, match="odd.ckpt"):
+        save_checkpoint(Recognizer(TOY, seed=0), path, ABCD)
+        manifest, payload = checkpoint_parts(path.read_bytes())
+        path.write_bytes(sealed_checkpoint(edit(manifest), payload))
+        with pytest.raises(ValueError, match="odd.ckpt") as info:
+            load_checkpoint(path)
+        assert re.search(message, str(info.value))
+
+    def test_v1_file_is_rejected_by_its_version(self, tmp_path):
+        # the v1 layout: magic, manifest length, manifest with byte offsets, payload; no CRC
+        model = Recognizer(TOY, seed=0)
+        params = model.named_parameters()
+        offsets = np.cumsum([0] + [8 * p.data.size for p in params.values()])
+        manifest = {"model_config": dataclasses.asdict(TOY), "payload_bytes": int(offsets[-1]), "version": 1,
+                    "params": [{"name": n, "shape": list(p.data.shape), "offset": int(o)}
+                               for (n, p), o in zip(params.items(), offsets)]}
+        mbytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(CKPT_MAGIC + len(mbytes).to_bytes(8, "little") + mbytes
+                         + b"".join(p.data.astype("<f8").tobytes() for p in params.values()))
+        with pytest.raises(ValueError, match=r"^unsupported checkpoint version in .*old\.ckpt: 1$"):
             load_checkpoint(path)
 
     @settings(max_examples=300, deadline=None)
     @given(edits=CORRUPTIONS)
-    def test_corrupted_manifest_ends_in_a_named_error_or_a_working_model(
-            self, checkpoint_bytes, tmp_path_factory, edits):
-        # the payload is bare float64 data, so aim at the header and manifest
-        end = 16 + int.from_bytes(checkpoint_bytes[8:16], "little")
+    def test_corrupted_byte_after_the_magic_ends_in_a_named_error(self, checkpoint_bytes, tmp_path_factory, edits):
         path = tmp_path_factory.getbasetemp() / "corrupt.ckpt"
-        write_corrupted(path, checkpoint_bytes, [(pos % end, byte) for pos, byte in edits])
-        try:
-            model = load_checkpoint(path)
-        except ValueError as exc:
-            assert "corrupt.ckpt" in str(exc)
+        after_magic = len(checkpoint_bytes) - 8
+        write_corrupted(path, checkpoint_bytes, [(8 + pos % after_magic, byte) for pos, byte in edits])
+        if path.read_bytes() == checkpoint_bytes:  # each overwrite wrote the byte already there
+            load_checkpoint(path)
         else:
-            raw = toy_frames(np.random.default_rng(0), t=2)
-            log_probs = model.forward(normalize(raw), motion_prior(raw, model.cfg.feat_grid)).log_probs.data
-            assert log_probs.shape == (2, model.cfg.num_classes + 1) and np.isfinite(log_probs).all()
+            with pytest.raises(ValueError, match="corrupt.ckpt"):
+                load_checkpoint(path)

@@ -1,7 +1,5 @@
 import ctypes
-import json
 import resource
-import struct
 import weakref
 from dataclasses import replace
 
@@ -24,6 +22,7 @@ from ctcseq.training import (
     forward_frames,
     train,
 )
+from conftest import checkpoint_parts
 from training_reference import train_reference
 
 ALPHABET = Alphabet(tuple("abc"))
@@ -129,7 +128,8 @@ class TestTrainLoop:
     def test_checkpoint_round_trip_gives_same_dev_metrics(self, tiny_split, tmp_path):
         cfg = TrainConfig(epochs=1, seed=2, batch_size=4)
         result = train(Recognizer(SMALL_MODEL, seed=2), tiny_split, cfg, out_dir=tmp_path)
-        loaded = load_checkpoint(tmp_path / "best.ckpt")
+        loaded, letters = load_checkpoint(tmp_path / "best.ckpt")
+        assert letters == tiny_split.alphabet
         a = evaluate(result.model, tiny_split.dev).mean_letter_accuracy
         b = evaluate(loaded, tiny_split.dev).mean_letter_accuracy
         assert a == b
@@ -209,9 +209,8 @@ class TestTrainLoop:
         result = train(model, tiny_split, TrainConfig(epochs=3, seed=4, batch_size=4), out_dir=tmp_path)
         assert result.model is model
         raw = (tmp_path / "best.ckpt").read_bytes()
-        (mlen,) = struct.unpack("<Q", raw[8:16])
-        assert json.loads(raw[16 : 16 + mlen])["extra"]["epoch"] == result.best_epoch
-        best = load_checkpoint(tmp_path / "best.ckpt").named_parameters()
+        assert checkpoint_parts(raw)[0]["extra"]["epoch"] == result.best_epoch
+        best = load_checkpoint(tmp_path / "best.ckpt")[0].named_parameters()
         same = all(np.array_equal(p.data, best[n].data) for n, p in model.named_parameters().items())
         assert same == (result.best_epoch == 3)
 

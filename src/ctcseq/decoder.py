@@ -70,17 +70,32 @@ def beam_search(
     0 keeps the prefix (blank, or its last letter again), column 1 + l
     appends letter l. An extension equal to a beam merges into the first
     of the two cells in row-major order, the order the normalizer is
-    reduced in. The language model gives one row per context.
+    reduced in. Each beam carries its context's language-model row. Fused
+    scores are those of ``math.exp``. ``np.exp``, which can miss it by an
+    ulp, only estimates them, within 1e-15 as they lie in [0, 1], and
+    ``math.exp`` scores the cells within 1e-12 of the k-th best estimate:
+    every cell left out ranks below the k best.
     """
     if beam_width < 1:
         raise ValueError(f"beam width must be >= 1: {beam_width}")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"language model weight must be in [0, 1]: {alpha}")
     lm = lm if alpha > 0.0 else None
-    if lm is not None and alphabet is None:
-        raise ValueError("language-model fusion requires the alphabet")
     blank, width = dist.blank_index, dist.blank_index + 1
-    rows: dict[tuple[int, ...], np.ndarray] = {}  # LM rows by context letters
+    if lm is not None:
+        if alphabet is None:
+            raise ValueError("language-model fusion requires the alphabet")
+        if len(alphabet.letters) != blank:
+            raise ValueError(f"the alphabet has {len(alphabet.letters)} letters, the frame distributions {blank}")
+        rows: dict[tuple[int, ...], np.ndarray] = {}  # LM rows by context letters
+
+        def row(prefix: tuple[int, ...]) -> np.ndarray:
+            context = prefix[-lm.order:]
+            if context not in rows:
+                rows[context] = lm.cond_probs(alphabet.letters, alphabet.decode(context))
+            return rows[context]
+
+        beam_rows = [row(())]
 
     beams: list[tuple[int, ...]] = [()]
     pb, pnb = np.zeros(1), np.full(1, NEG_INF)
@@ -97,10 +112,7 @@ def beam_search(
         cand_nb[run, 1 + letter] = pb[run] + lp[letter]
         lm_p = np.full_like(cand_b, -1.0)  # P(letter | context) where a letter was appended
         if lm is not None:
-            for i, p in enumerate(beams):
-                if p[-lm.order:] not in rows:
-                    rows[p[-lm.order:]] = lm.cond_probs(alphabet.letters, alphabet.decode(p[-lm.order:]))
-                lm_p[i, 1:] = rows[p[-lm.order:]]
+            lm_p[:, 1:] = beam_rows
         index = {p: i for i, p in enumerate(beams)}
         for j, p in enumerate(beams):
             i = index.get(p[:-1]) if p else None
@@ -116,19 +128,25 @@ def beam_search(
                 cand_b[i, col] = cand_b[j, 0]
                 cand_b[j, 0] = cand_nb[j, 0] = NEG_INF
         score = np.logaddexp(cand_b, cand_nb).ravel()
-        if lm is not None:
-            # math.exp: np.exp differs from it in the last bit on some inputs
-            s_b = np.array([math.exp(x) for x in (score - np.logaddexp.reduce(score)).tolist()])
-            fused = lm_p.ravel() >= 0.0
-            s_b[fused] = (1.0 - alpha) * s_b[fused] + alpha * lm_p.ravel()[fused]
-            score = np.where(score > NEG_INF, s_b, NEG_INF)
         k = min(beam_width, int(np.count_nonzero(score > NEG_INF)))
-        picked = np.flatnonzero(score >= np.partition(score, score.size - k)[score.size - k])
-        kept = sorted(  # (-score, prefix, cell) at or above the k-th best score
+        if lm is None:
+            picked = np.flatnonzero(score >= np.partition(score, score.size - k)[score.size - k])
+            values = score[picked].tolist()
+        else:
+            x, p_lm = score - np.logaddexp.reduce(score), lm_p.ravel()
+            s_b = np.exp(x)
+            estimate = np.where(p_lm >= 0.0, (1.0 - alpha) * s_b + alpha * p_lm, s_b)
+            estimate[score == NEG_INF] = NEG_INF
+            picked = np.flatnonzero(estimate >= np.partition(estimate, estimate.size - k)[estimate.size - k] - 1e-12)
+            values = [(1.0 - alpha) * math.exp(v) + alpha * p if p >= 0.0 else math.exp(v)
+                      for v, p in zip(x[picked].tolist(), p_lm[picked].tolist())]
+        kept = sorted(  # (-score, prefix, cell) at, above or (estimated) near the k-th best score
             (-s, beams[f // width] + ((f % width - 1,) if f % width else ()), f)
-            for s, f in zip(score[picked].tolist(), picked.tolist())
+            for s, f in zip(values, picked.tolist())
         )[:beam_width]
         cells = [f for *_, f in kept]
+        if lm is not None:  # a kept prefix keeps its beam's row or takes its new context's
+            beam_rows = [beam_rows[f // width] if f % width == 0 else row(p) for _, p, f in kept]
         beams, pb, pnb = [p for _, p, _ in kept], cand_b.ravel()[cells], cand_nb.ravel()[cells]
 
     return _finalize(beams, pb, pnb, lm, alpha, alphabet)

@@ -40,6 +40,7 @@ class CharNGramModel:
         symbols.discard(EOS)
         self.vocab = tuple(sorted(symbols)) + (EOS,)
         self._totals = {ctx: sum(nexts.values()) for ctx, nexts in self.counts.items()}
+        self._rows: dict[tuple, np.ndarray] = {}  # cond_probs by (symbols, backed-off context)
 
     def _backoff_context(self, context: str) -> str:
         ctx = context[-self.order :]
@@ -58,10 +59,15 @@ class CharNGramModel:
 
     def cond_probs(self, symbols, context: str) -> np.ndarray:
         """``cond_prob(s, context)`` for each of ``symbols``, bit for bit,
-        as one float64 row."""
+        as one read-only float64 row, computed once per backed-off context."""
         ctx = self._backoff_context(context)
-        nexts = self.counts.get(ctx, {})
-        return self._smoothed(np.array([nexts.get(s, 0) for s in symbols], dtype=np.float64), ctx)
+        key = (tuple(symbols), ctx)
+        if key not in self._rows:
+            nexts = self.counts.get(ctx, {})
+            row = self._smoothed(np.array([nexts.get(s, 0) for s in key[0]], dtype=np.float64), ctx)
+            row.flags.writeable = False
+            self._rows[key] = row
+        return self._rows[key]
 
     def _smoothed(self, count, ctx: str):
         total = self._totals.get(ctx, 0)

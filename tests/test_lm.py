@@ -50,14 +50,29 @@ class TestTraining:
         model = lm_train(["asl"], order=3)
         assert model.cond_prob(EOS, "asl") > model.cond_prob("a", "asl")
 
-    def test_row_equals_cond_prob_bitwise(self):
-        model = lm_train(["abca", "bcab", "cc", "a"], order=3, smoothing_alpha=0.3)
+    def test_row_equals_cond_prob_bitwise(self, tmp_path):
+        corpus = ["abca", "bcab", "cc", "a"]
+        model = lm_train(corpus, order=3, smoothing_alpha=0.3)
         symbols = ("a", "b", "c", "d", EOS)
         contexts = ["".join(p) for n in range(5) for p in product("abcd", repeat=n)]
         for context in contexts:
             row = model.cond_probs(symbols, context)
             assert row.dtype == np.float64
             assert row.tolist() == [model.cond_prob(s, context) for s in symbols]
+            # the memoized row: the same bits again, and read-only
+            assert model.cond_probs(symbols, context).tolist() == row.tolist()
+            with pytest.raises(ValueError):
+                row[0] = 0.5
+            # another symbol tuple on the same context gets its own row
+            assert model.cond_probs(symbols[::-1], context).tolist() == row.tolist()[::-1]
+            assert model.cond_probs(symbols[:2], context).tolist() == row.tolist()[:2]
+        # the memo is not part of the model: equality and files ignore it
+        fresh = lm_train(corpus, order=3, smoothing_alpha=0.3)
+        assert model == fresh
+        save_lm(model, tmp_path / "used.charlm")
+        save_lm(fresh, tmp_path / "fresh.charlm")
+        assert (tmp_path / "used.charlm").read_bytes() == (tmp_path / "fresh.charlm").read_bytes()
+        assert load_lm(tmp_path / "used.charlm") == model
 
 
 class TestSerialization:

@@ -20,7 +20,7 @@ from .ctc import Alphabet
 from .data import load_dataset, read_clip, save_dataset, synthesize
 from .lm import lm_train, load_lm, save_lm
 from .model import Recognizer, load_checkpoint
-from .training import TrainingDiverged, ablate, evaluate, forward_frames, train
+from .training import TrainConfig, TrainingDiverged, ablate, evaluate, forward_frames, train
 
 def _seed_override(seed: int) -> int:
     env = os.environ.get("CTCSEQ_SEED")
@@ -147,9 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
     decoding = argparse.ArgumentParser(add_help=False)  # the options eval and decode share
     decoding.add_argument("--ckpt", required=True)
     decoding.add_argument("--decoder", choices=dec.DECODERS, default="greedy")
-    decoding.add_argument("--beam-width", type=int, default=20)
+    decoding.add_argument("--beam-width", type=int, default=TrainConfig.beam_width)
     decoding.add_argument("--lm", default=None)
-    decoding.add_argument("--alpha", type=float, default=0.2)
+    decoding.add_argument("--alpha", type=float, default=TrainConfig.lm_alpha)
 
     p = sub.add_parser("eval", parents=[decoding], help="evaluate a checkpoint")
     p.add_argument("--data", required=True)

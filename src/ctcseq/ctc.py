@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, _node, as_tensor
+from .lm import RESERVED
 
 NEG_INF = float("-inf")
 
@@ -32,7 +33,7 @@ class Alphabet:
         if not letters:
             raise ValueError("alphabet must contain at least one letter")
         for ch in letters:
-            if len(ch) != 1 or ch in ("\t", "\n", "·"):
+            if len(ch) != 1 or ch in RESERVED:
                 raise ValueError(f"alphabet letters must be single printable characters: {ch!r}")
 
     @property

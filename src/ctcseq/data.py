@@ -53,6 +53,9 @@ class GenConfig:
                 raise ValueError(f"{key} must be >= 1: {getattr(self, key)}")
         if not 0.0 <= self.left_handed_rate <= 1.0:
             raise ValueError("left_handed_rate must be in [0, 1]")
+        for key in ("train_fraction", "dev_fraction"):
+            if not 0.0 <= getattr(self, key) < 1.0:
+                raise ValueError(f"{key} must be in [0, 1): {getattr(self, key)}")
         if not 0.0 < self.train_fraction + self.dev_fraction < 1.0:
             raise ValueError("train/dev fractions must leave room for a test split")
 

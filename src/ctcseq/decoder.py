@@ -68,13 +68,14 @@ def beam_search(
 
     A frame is a few array steps on a beams x (1 + letters) matrix: column
     0 keeps the prefix (blank, or its last letter again), column 1 + l
-    appends letter l. An extension equal to a beam merges into the first
-    of the two cells in row-major order, the order the normalizer is
-    reduced in. Each beam carries its context's language-model row. Fused
-    scores are those of ``math.exp``. ``np.exp``, which can miss it by an
-    ulp, only estimates them, within 1e-15 as they lie in [0, 1], and
-    ``math.exp`` scores the cells within 1e-12 of the k-th best estimate:
-    every cell left out ranks below the k best.
+    appends letter l. An extension equal to a beam merges into whichever of
+    the two cells comes first in row-major order, the order the normalizer
+    is reduced in. Each beam carries its context's language-model row.
+    Fused scores are those of ``math.exp``; ``np.exp``, which can miss it
+    by an ulp, only ranks them, within 1e-15 as they lie in [0, 1]. Both
+    searches keep the cells ranked within 1e-12 of the k-th best and sort
+    them by exact score, so every cell left out or let in by the margin
+    ranks below the k best.
     """
     if beam_width < 1:
         raise ValueError(f"beam width must be >= 1: {beam_width}")
@@ -113,41 +114,37 @@ def beam_search(
         lm_p = np.full_like(cand_b, -1.0)  # P(letter | context) where a letter was appended
         if lm is not None:
             lm_p[:, 1:] = beam_rows
+        b, nb, p_lm = cand_b.ravel(), cand_nb.ravel(), lm_p.ravel()  # row-major views
         index = {p: i for i, p in enumerate(beams)}
-        for j, p in enumerate(beams):
-            i = index.get(p[:-1]) if p else None
-            if i is None or cand_nb[i, 1 + p[-1]] == NEG_INF:
-                continue
-            col = 1 + p[-1]
-            if j < i:  # beam j's cell comes first and takes the extension
-                cand_nb[j, 0] = np.logaddexp(cand_nb[j, 0], cand_nb[i, col])
-                cand_nb[i, col] = NEG_INF
-                lm_p[j, 0] = lm_p[i, col]
-            else:  # the extension's cell comes first and takes beam j
-                cand_nb[i, col] = np.logaddexp(cand_nb[j, 0], cand_nb[i, col])
-                cand_b[i, col] = cand_b[j, 0]
-                cand_b[j, 0] = cand_nb[j, 0] = NEG_INF
-        score = np.logaddexp(cand_b, cand_nb).ravel()
+        # a beam equal to another's extension: of its stay and extension cells, the first in
+        # row-major order takes both; no cell is in two pairs, so one array step merges all
+        pairs = np.array([(j * width, index[p[:-1]] * width + 1 + p[-1])
+                          for j, p in enumerate(beams) if p and p[:-1] in index], dtype=int).reshape(-1, 2)
+        stay, ext = pairs[nb[pairs[:, 1]] > NEG_INF].T
+        first, last = np.minimum(stay, ext), np.maximum(stay, ext)
+        nb[first], b[first], p_lm[first] = np.logaddexp(nb[stay], nb[ext]), b[stay], p_lm[ext]
+        b[last] = nb[last] = NEG_INF
+        score = nb.copy()  # logaddexp(-inf, y) is y, so only cells with blank mass need it
+        live = np.flatnonzero(b > NEG_INF)
+        score[live] = np.logaddexp(b[live], nb[live])
+        rank = score
+        if lm is not None:  # the fused scores, estimated with np.exp
+            x = score - np.logaddexp.reduce(score)
+            rank = np.where(p_lm >= 0.0, (1.0 - alpha) * np.exp(x) + alpha * p_lm, np.exp(x))
+            rank[score == NEG_INF] = NEG_INF
         k = min(beam_width, int(np.count_nonzero(score > NEG_INF)))
-        if lm is None:
-            picked = np.flatnonzero(score >= np.partition(score, score.size - k)[score.size - k])
-            values = score[picked].tolist()
-        else:
-            x, p_lm = score - np.logaddexp.reduce(score), lm_p.ravel()
-            s_b = np.exp(x)
-            estimate = np.where(p_lm >= 0.0, (1.0 - alpha) * s_b + alpha * p_lm, s_b)
-            estimate[score == NEG_INF] = NEG_INF
-            picked = np.flatnonzero(estimate >= np.partition(estimate, estimate.size - k)[estimate.size - k] - 1e-12)
-            values = [(1.0 - alpha) * math.exp(v) + alpha * p if p >= 0.0 else math.exp(v)
-                      for v, p in zip(x[picked].tolist(), p_lm[picked].tolist())]
-        kept = sorted(  # (-score, prefix, cell) at, above or (estimated) near the k-th best score
+        picked = np.flatnonzero(rank >= np.partition(rank, rank.size - k)[rank.size - k] - 1e-12)
+        values = score[picked].tolist() if lm is None else [  # the exact fused scores
+            (1.0 - alpha) * math.exp(v) + alpha * p if p >= 0.0 else math.exp(v)
+            for v, p in zip(x[picked].tolist(), p_lm[picked].tolist())]
+        kept = sorted(  # (-score, prefix, cell) ranked at, above or near the k-th best
             (-s, beams[f // width] + ((f % width - 1,) if f % width else ()), f)
             for s, f in zip(values, picked.tolist())
         )[:beam_width]
         cells = [f for *_, f in kept]
         if lm is not None:  # a kept prefix keeps its beam's row or takes its new context's
             beam_rows = [beam_rows[f // width] if f % width == 0 else row(p) for _, p, f in kept]
-        beams, pb, pnb = [p for _, p, _ in kept], cand_b.ravel()[cells], cand_nb.ravel()[cells]
+        beams, pb, pnb = [p for _, p, _ in kept], b[cells], nb[cells]
 
     return _finalize(beams, pb, pnb, lm, alpha, alphabet)
 

@@ -17,6 +17,7 @@ import numpy as np
 EOS = "</s>"
 
 EMPTY_CONTEXT = "·"  # placeholder for the empty context in files
+RESERVED = ("\t", "\n", EMPTY_CONTEXT)  # a file's separators and marker: never a letter
 
 
 @dataclass
@@ -54,24 +55,20 @@ class CharNGramModel:
         Unseen contexts back off one letter at a time down to the marginal
         table. ``symbol`` may be a letter or the end marker.
         """
-        ctx = self._backoff_context(context)
-        return self._smoothed(self.counts.get(ctx, {}).get(symbol, 0), ctx)
+        return float(self.cond_probs((symbol,), context)[0])
 
     def cond_probs(self, symbols, context: str) -> np.ndarray:
-        """``cond_prob(s, context)`` for each of ``symbols``, bit for bit,
-        as one read-only float64 row, computed once per backed-off context."""
+        """``cond_prob(s, context)`` for each of ``symbols`` as one read-only
+        float64 row, computed once per symbol tuple and backed-off context."""
         ctx = self._backoff_context(context)
         key = (tuple(symbols), ctx)
         if key not in self._rows:
-            nexts = self.counts.get(ctx, {})
-            row = self._smoothed(np.array([nexts.get(s, 0) for s in key[0]], dtype=np.float64), ctx)
+            nexts, total = self.counts.get(ctx, {}), self._totals.get(ctx, 0)
+            count = np.array([nexts.get(s, 0) for s in key[0]], dtype=np.float64)
+            row = (count + self.smoothing_alpha) / (total + self.smoothing_alpha * len(self.vocab))
             row.flags.writeable = False
             self._rows[key] = row
         return self._rows[key]
-
-    def _smoothed(self, count, ctx: str):
-        total = self._totals.get(ctx, 0)
-        return (count + self.smoothing_alpha) / (total + self.smoothing_alpha * len(self.vocab))
 
 
 def lm_train(corpus: list[str], order: int, smoothing_alpha: float = 1.0) -> CharNGramModel:
@@ -83,6 +80,9 @@ def lm_train(corpus: list[str], order: int, smoothing_alpha: float = 1.0) -> Cha
     """
     if not corpus:
         raise ValueError("language model corpus must be non-empty")
+    reserved = sorted(set(RESERVED).intersection("".join(corpus)))
+    if reserved:
+        raise ValueError(f"language model corpus holds the reserved character {reserved[0]!r}")
     counts: dict[str, dict[str, int]] = defaultdict(lambda: defaultdict(int))
     for word in corpus:
         events = [(i, word[i]) for i in range(len(word))] + [(len(word), EOS)]
@@ -105,7 +105,7 @@ def save_lm(model: CharNGramModel, path) -> None:
 def load_lm(path) -> CharNGramModel:
     """Read a ``CHARLM v1`` file; malformed content raises a ValueError naming it."""
     try:
-        lines = [ln for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln]
+        lines = [ln for ln in Path(path).read_bytes().decode("utf-8").split("\n") if ln]
         if not lines:
             raise ValueError("empty file")
         header = lines[0].split()

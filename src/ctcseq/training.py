@@ -51,8 +51,8 @@ class TrainConfig:
     batch_size: int = 8
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError(f"learning rate must be positive: {self.lr}")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite: {self.lr}")
         if not 0.0 <= self.flip_prob <= 1.0:
             raise ValueError(f"flip probability must be in [0, 1]: {self.flip_prob}")
         if not 0.0 <= self.mel_weight <= 1.0:
@@ -152,8 +152,8 @@ def forward_frames(model: Recognizer, frames, training: bool = False, rng=None, 
 
 
 def evaluate(model: Recognizer, clips: list[SyntheticClip], decoder: str = "greedy",
-             beam_width: int = 20, lm: CharNGramModel | None = None, alpha: float = 0.2,
-             alphabet=None, prefix: str = "clip"):
+             beam_width: int = TrainConfig.beam_width, lm: CharNGramModel | None = None,
+             alpha: float = TrainConfig.lm_alpha, alphabet=None, prefix: str = "clip"):
     """Decode every clip and score letter accuracy against the targets."""
     results = []
     with no_grad():

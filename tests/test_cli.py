@@ -183,6 +183,17 @@ class TestLmTrainCommand:
         text = out.read_text()
         assert text.startswith("CHARLM v1 order=1")
 
+    @pytest.mark.parametrize("line, char", [("·ab", "'·'"), ("a\tb", "'\\t'")], ids=["marker", "tab"])
+    def test_reserved_character_is_one_error_line(self, tmp_path, capsys, line, char):
+        """A CHARLM v1 file cannot hold its empty-context marker or its field separator."""
+        corpus = tmp_path / "c.txt"
+        corpus.write_text(f"ab\n{line}\nba\n", encoding="utf-8")
+        out = tmp_path / "m.charlm"
+        assert main(["lm-train", "--corpus", str(corpus), "--order", "2", "--out", str(out)]) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err == f"error: language model corpus holds the reserved character {char}\n"
+        assert not out.exists()
+
 
 class TestErrors:
     @pytest.fixture()
@@ -460,6 +471,11 @@ class TestErrors:
         ("train", "lr = %x", "[train] lr: could not convert string to float: '%x'"),
         ("train", "lr = fast", "[train] lr: could not convert string to float: 'fast'"),
         ("model", "feat_grid = 8", "[model] feat_grid: expected two integers, got '8'"),
+        # values that compare as in range: nan and inf, a negative fraction whose sum is in (0, 1)
+        ("train", "lr = nan", "lr must be positive and finite: nan"),
+        ("train", "lr = inf", "lr must be positive and finite: inf"),
+        ("data", "train_fraction = -0.5\ndev_fraction = 0.9", "train_fraction must be in [0, 1): -0.5"),
+        ("data", "train_fraction = 0.5\ndev_fraction = -0.2", "dev_fraction must be in [0, 1): -0.2"),
     ])
     def test_bad_config_is_one_error_line(self, tmp_path, capsys, section, line, message):
         cfg = tmp_path / "bad.ini"

@@ -1,11 +1,13 @@
+import re
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import CORRUPTIONS, write_corrupted
-from ctcseq.lm import EOS, lm_train, load_lm, save_lm
+from ctcseq.lm import EOS, RESERVED, lm_train, load_lm, save_lm
 
 
 @pytest.fixture(scope="module")
@@ -56,9 +58,15 @@ class TestTraining:
         symbols = ("a", "b", "c", "d", EOS)
         contexts = ["".join(p) for n in range(5) for p in product("abcd", repeat=n)]
         for context in contexts:
+            ctx = context[-3:]
+            while ctx and ctx not in model.counts:
+                ctx = ctx[1:]
+            nexts = model.counts.get(ctx, {})
+            want = [(nexts.get(s, 0) + 0.3) / (sum(nexts.values()) + 0.3 * len(model.vocab)) for s in symbols]
             row = model.cond_probs(symbols, context)
             assert row.dtype == np.float64
-            assert row.tolist() == [model.cond_prob(s, context) for s in symbols]
+            assert row.tolist() == want
+            assert [model.cond_prob(s, context) for s in symbols] == want
             # the memoized row: the same bits again, and read-only
             assert model.cond_probs(symbols, context).tolist() == row.tolist()
             with pytest.raises(ValueError):
@@ -129,6 +137,22 @@ class TestSerialization:
             for ctx in ("", "a", "sl"):
                 probs = model.cond_probs(model.vocab, ctx)
                 assert np.all(probs > 0.0) and abs(probs.sum() - 1.0) < 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(corpus=st.lists(st.text(st.characters(exclude_characters=RESERVED), max_size=6), min_size=1, max_size=5),
+           order=st.integers(1, 3), alpha=st.floats(1e-3, 1e3))
+    @example(corpus=["a\rb", "\x85", ""], order=2, alpha=1.0)  # line breaks other than "\n" are letters
+    def test_save_then_load_is_the_same_model(self, tmp_path_factory, corpus, order, alpha):
+        model = lm_train(corpus, order, alpha)
+        path = tmp_path_factory.getbasetemp() / "round.charlm"
+        save_lm(model, path)
+        assert load_lm(path) == model
+
+    def test_reserved_characters_rejected(self):
+        """``·`` would load back as the empty context, a tab as a field separator."""
+        for char in RESERVED:
+            with pytest.raises(ValueError, match=re.escape(f"reserved character {char!r}")):
+                lm_train(["ab", f"{char}ab", "ba"], order=2)
 
     def test_empty_context_placeholder(self, tmp_path):
         model = lm_train(["ab"], order=1)

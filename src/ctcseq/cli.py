@@ -17,7 +17,7 @@ from . import decoder as dec
 from .autodiff import no_grad
 from .config import default_config, load_config, save_config
 from .ctc import Alphabet
-from .data import load_dataset, read_clip, save_dataset, synthesize
+from .data import load_dataset, read_clip, read_utf8, save_dataset, synthesize
 from .lm import lm_train, load_lm, save_lm
 from .model import Recognizer, load_checkpoint
 from .training import TrainConfig, TrainingDiverged, ablate, evaluate, forward_frames, train
@@ -101,7 +101,7 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_lm_train(args) -> int:
-    lines = [ln.strip() for ln in Path(args.corpus).read_text(encoding="utf-8").splitlines()]
+    lines = [ln.strip() for ln in read_utf8(Path(args.corpus)).splitlines()]
     corpus = [ln for ln in lines if ln]
     model = lm_train(corpus, order=args.order, smoothing_alpha=args.smoothing_alpha)
     save_lm(model, args.out)

@@ -11,7 +11,7 @@ import dataclasses
 import typing
 from pathlib import Path
 
-from .data import GenConfig
+from .data import GenConfig, read_utf8
 from .model import ModelConfig
 from .training import TrainConfig
 
@@ -46,11 +46,9 @@ def load_config(path) -> dict:
     parser = configparser.ConfigParser(interpolation=None)
     path = Path(path)
     try:
-        parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
+        parser.read_string(read_utf8(path), source=str(path))
     except configparser.Error as exc:  # its message names the file, over several lines
         raise ValueError(" ".join(str(exc).split())) from None
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path} is not UTF-8 text: {exc}") from None
     out = {}
     for section, cls in SECTIONS.items():
         # annotations are strings under `from __future__ import annotations`

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tensor, _node, as_tensor
-from .lm import RESERVED
+from .lm import EMPTY_CONTEXT
 
 NEG_INF = float("-inf")
 
@@ -33,8 +33,9 @@ class Alphabet:
         if not letters:
             raise ValueError("alphabet must contain at least one letter")
         for ch in letters:
-            if len(ch) != 1 or ch in RESERVED:
-                raise ValueError(f"alphabet letters must be single printable characters: {ch!r}")
+            if len(ch) != 1 or not ch.isprintable() or ch.isspace() or ch == EMPTY_CONTEXT:
+                raise ValueError(f"alphabet letters must be single printable characters, not a space or "
+                                 f"{EMPTY_CONTEXT!r}: {ch!r}")
 
     @property
     def blank_index(self) -> int:

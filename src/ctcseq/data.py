@@ -280,6 +280,14 @@ def read_exact(fh, size: int, path) -> bytes:
     return fh.read(size)
 
 
+def read_utf8(path: Path) -> str:
+    """The text of ``path``; bytes that are not UTF-8 end in a ValueError that names it."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def read_tensor(path) -> np.ndarray:
     path = Path(path)
     with open(path, "rb") as fh:
@@ -358,10 +366,7 @@ def load_dataset(data_dir) -> DatasetSplit:
     parts: dict[str, list[SyntheticClip]] = {}
     for name in ("train", "dev", "test"):
         index = root / f"{name}.index"
-        try:
-            lines = index.read_text(encoding="utf-8").splitlines() if index.exists() else []
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{index} is not UTF-8 text: {exc}") from None
+        lines = read_utf8(index).splitlines() if index.exists() else []
         clips = []
         for number, line in enumerate(lines, 1):
             if line:

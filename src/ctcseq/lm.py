@@ -83,6 +83,10 @@ def lm_train(corpus: list[str], order: int, smoothing_alpha: float = 1.0) -> Cha
     reserved = sorted(set(RESERVED).intersection("".join(corpus)))
     if reserved:
         raise ValueError(f"language model corpus holds the reserved character {reserved[0]!r}")
+    try:  # a CHARLM file is UTF-8 text, which cannot hold a lone surrogate
+        "".join(corpus).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"language model corpus is not UTF-8 text: {exc}") from None
     counts: dict[str, dict[str, int]] = defaultdict(lambda: defaultdict(int))
     for word in corpus:
         events = [(i, word[i]) for i in range(len(word))] + [(len(word), EOS)]

@@ -395,7 +395,7 @@ def save_checkpoint(model: Recognizer, path, alphabet: Alphabet, extra: dict | N
         "version": CKPT_VERSION,
         "model_config": asdict(model.cfg),
         "letters": "".join(alphabet.letters),
-        "params": [{"name": name, "shape": list(p.data.shape)} for name, p in params.items()],
+        "params": _param_table(params),
         "payload_bytes": len(payload),
     }
     if extra:
@@ -410,6 +410,11 @@ def save_checkpoint(model: Recognizer, path, alphabet: Alphabet, extra: dict | N
         fh.write(mbytes)
         fh.write(payload)
     tmp.replace(path)
+
+
+def _param_table(params: dict) -> list[dict]:
+    """The manifest's parameter table: names and shapes in ``named_parameters()`` order."""
+    return [{"name": name, "shape": list(p.data.shape)} for name, p in params.items()]
 
 
 def _json_object(raw: bytes) -> dict | None:
@@ -439,12 +444,8 @@ def load_checkpoint(path) -> tuple[Recognizer, Alphabet]:
         raise ValueError(f"unsupported checkpoint version in {path}: {manifest.get('version')}")
     if zlib.crc32(payload, zlib.crc32(sealed[4:])) != int.from_bytes(sealed[:4], "little"):
         raise ValueError(f"checkpoint {path} is corrupt: its CRC32 does not match its bytes")
-    if (not {"model_config", "letters", "params", "payload_bytes"} <= manifest.keys()
-            or not isinstance(manifest["letters"], str) or not isinstance(manifest["params"], list)):
-        raise ValueError(f"malformed checkpoint manifest in {path}: expected model_config, "
-                         "letters (a string), params (a list) and payload_bytes")
-    if len(payload) != manifest["payload_bytes"]:
-        raise ValueError(f"checkpoint payload of {path} has {len(payload)} bytes, not {manifest['payload_bytes']}")
+    if "model_config" not in manifest or not isinstance(manifest.get("letters"), str):
+        raise ValueError(f"malformed checkpoint manifest in {path}: expected model_config and letters (a string)")
     try:
         model = Recognizer(ModelConfig(**manifest["model_config"]), seed=0)
         alphabet = Alphabet(tuple(manifest["letters"]))
@@ -453,27 +454,14 @@ def load_checkpoint(path) -> tuple[Recognizer, Alphabet]:
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed model_config or letters in checkpoint {path}: {exc}") from None
     params = model.named_parameters()
-    seen = set()
-    offset = 0
-    for entry in manifest["params"]:
-        try:
-            name, shape = entry["name"], tuple(entry["shape"])
-        except (KeyError, TypeError):
-            raise ValueError(f"malformed parameter entry in checkpoint {path}: {entry!r}") from None
-        if not isinstance(name, str) or name not in params:
-            raise ValueError(f"checkpoint parameter {name!r} in {path} not present in model")
-        p = params[name]
-        if p.data.shape != shape:
-            raise ValueError(f"shape mismatch for {name!r} in {path}: checkpoint {shape}, model {p.data.shape}")
-        if offset + 8 * p.data.size > len(payload):
-            raise ValueError(f"parameter {name!r} runs past the {len(payload)}-byte payload of {path}")
-        arr = np.frombuffer(payload, dtype="<f8", count=p.data.size, offset=offset).reshape(shape)
-        if not np.isfinite(arr).all():
+    ends = np.cumsum([p.data.size for p in params.values()])
+    nbytes = 8 * int(ends[-1])
+    if manifest.get("params") != _param_table(params) or not manifest.get("payload_bytes") == len(payload) == nbytes:
+        raise ValueError(f"checkpoint {path} does not fit the model its model_config builds: expected its "
+                         f"{len(params)} parameter names and shapes in order, and {nbytes} payload bytes "
+                         f"(payload_bytes {manifest.get('payload_bytes')!r}, {len(payload)} in the file)")
+    for (name, p), chunk in zip(params.items(), np.split(np.frombuffer(payload, "<f8"), ends[:-1])):
+        if not np.isfinite(chunk).all():
             raise ValueError(f"non-finite value in parameter {name!r} of checkpoint {path}")
-        p.data = arr.astype(np.float64)
-        offset += 8 * p.data.size
-        seen.add(name)
-    missing = set(params) - seen
-    if missing:
-        raise ValueError(f"checkpoint {path} missing parameters: {sorted(missing)}")
+        p.data = chunk.reshape(p.data.shape).astype(np.float64)
     return model, alphabet

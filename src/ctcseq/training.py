@@ -57,8 +57,9 @@ class TrainConfig:
             raise ValueError(f"flip probability must be in [0, 1]: {self.flip_prob}")
         if not 0.0 <= self.mel_weight <= 1.0:
             raise ValueError(f"mel_weight must be in [0, 1]: {self.mel_weight}")
-        if self.epochs < 1 or self.batch_size < 1 or self.beam_width < 1:
-            raise ValueError("epochs, batch_size and beam_width must be >= 1")
+        for key in ("epochs", "batch_size", "beam_width", "lm_order"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1: {getattr(self, key)}")
         if not 0.0 <= self.lm_alpha <= 1.0:
             raise ValueError(f"lm weight must be in [0, 1]: {self.lm_alpha}")
         if self.seed < 0:

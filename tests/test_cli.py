@@ -194,6 +194,15 @@ class TestLmTrainCommand:
         assert stdout == "" and err == f"error: language model corpus holds the reserved character {char}\n"
         assert not out.exists()
 
+    def test_corpus_that_is_not_utf8_names_the_file(self, tmp_path, capsys):
+        corpus = tmp_path / "c.txt"
+        corpus.write_bytes(b"ab\n\xffba\n")
+        out = tmp_path / "m.charlm"
+        assert main(["lm-train", "--corpus", str(corpus), "--out", str(out)]) == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.startswith(f"error: {corpus} is not UTF-8 text: ") and err.count("\n") == 1
+        assert "can't decode byte 0xff" in err and not out.exists()
+
 
 class TestErrors:
     @pytest.fixture()
@@ -247,7 +256,8 @@ class TestErrors:
         (b"aab\n", "alphabet letters must be distinct"),
         (b"", "alphabet must contain at least one letter"),
         (b"\xffabc\n", "can't decode byte 0xff"),
-    ], ids=["repeated", "empty", "not-utf8"])
+        (b"a\x0bb\n", "alphabet letters must be single printable characters, not a space or '·': '\\x0b'"),
+    ], ids=["repeated", "empty", "not-utf8", "vertical-tab"])
     def test_malformed_alphabet_names_the_file(self, cfg_file, tmp_path, capsys, content, message):
         from ctcseq.data import GenConfig, save_dataset, synthesize
 
@@ -391,6 +401,15 @@ class TestErrors:
         assert out == "" and err.startswith("error:") and err.count("\n") == 1 and "n_clips" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("letters, letter", [("ab\rc", "'\\r'"), (" ab", "' '"), ("a\u2028b", "'\\u2028'")],
+                             ids=["carriage-return", "space", "line-separator"])
+    def test_synth_rejects_a_letter_that_is_not_printable_or_is_a_space(self, tmp_path, capsys, letters, letter):
+        assert main(["synth", "--n-clips", "4", "--alphabet", letters, "--out", str(tmp_path / "o")]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == ("error: alphabet letters must be single printable characters, "
+                                     f"not a space or '·': {letter}\n")
+        assert not (tmp_path / "o").exists()
+
     def test_decode_rejects_lm_letters_outside_the_alphabet(self, decode_files, tmp_path, capsys):
         from ctcseq.lm import lm_train, save_lm
 
@@ -446,6 +465,7 @@ class TestErrors:
         ("model", "pooled_grid = 0,0", ">= 1"),
         ("data", "frame_size = 0", "frame_size must be >= 1"),
         ("data", "n_signers = 0", "n_signers must be >= 1"),
+        ("train", "lm_order = 0", "lm_order must be >= 1: 0"),
         ("data", "words = xyz", "words use letters 'xyz'"),
         ("data", "channels = 4", "unknown config key"),
         ("data", "signer_disjoint = true", "unknown config key"),

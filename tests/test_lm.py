@@ -139,7 +139,8 @@ class TestSerialization:
                 assert np.all(probs > 0.0) and abs(probs.sum() - 1.0) < 1e-9
 
     @settings(max_examples=200, deadline=None)
-    @given(corpus=st.lists(st.text(st.characters(exclude_characters=RESERVED), max_size=6), min_size=1, max_size=5),
+    @given(corpus=st.lists(st.text(st.characters(codec="utf-8", exclude_characters=RESERVED), max_size=6),
+                           min_size=1, max_size=5),
            order=st.integers(1, 3), alpha=st.floats(1e-3, 1e3))
     @example(corpus=["a\rb", "\x85", ""], order=2, alpha=1.0)  # line breaks other than "\n" are letters
     def test_save_then_load_is_the_same_model(self, tmp_path_factory, corpus, order, alpha):
@@ -153,6 +154,11 @@ class TestSerialization:
         for char in RESERVED:
             with pytest.raises(ValueError, match=re.escape(f"reserved character {char!r}")):
                 lm_train(["ab", f"{char}ab", "ba"], order=2)
+
+    def test_lone_surrogate_rejected(self):
+        """A CHARLM file is UTF-8 text, so ``save_lm`` could not write the model."""
+        with pytest.raises(ValueError, match="language model corpus is not UTF-8 text: .* surrogates not allowed"):
+            lm_train(["ab", "a\ud800b"], order=2)
 
     def test_empty_context_placeholder(self, tmp_path):
         model = lm_train(["ab"], order=1)

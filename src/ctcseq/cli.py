@@ -22,19 +22,24 @@ from .lm import lm_train, load_lm, save_lm
 from .model import Recognizer, load_checkpoint
 from .training import TrainConfig, TrainingDiverged, ablate, evaluate, forward_frames, train
 
-def _seed_override(seed: int) -> int:
+def _load_configs(path: str | None, seed_flag: int | None = None) -> dict:
+    """The configs of ``path``, seeded by CTCSEQ_SEED, else ``seed_flag``, else the file."""
+    configs = load_config(path) if path else default_config()
     env = os.environ.get("CTCSEQ_SEED")
     try:
-        return int(env) if env else seed
+        seed = int(env) if env else seed_flag if seed_flag is not None else configs["train"].seed
     except ValueError:
         raise ValueError(f"CTCSEQ_SEED must be an integer: {env!r}") from None
-
-
-def _load_configs(path: str | None, seed_flag: int | None = None) -> dict:
-    configs = load_config(path) if path else default_config()
-    seed = seed_flag if seed_flag is not None else configs["train"].seed
-    configs["train"] = dataclasses.replace(configs["train"], seed=_seed_override(seed))
+    configs["train"] = dataclasses.replace(configs["train"], seed=seed)
     return configs
+
+
+def _training_inputs(args):
+    """The configs and dataset of ``args``, the classifier sized to the dataset's letters."""
+    configs = _load_configs(args.config)
+    split = load_dataset(args.data)
+    configs["model"] = dataclasses.replace(configs["model"], num_classes=len(split.alphabet.letters))
+    return configs, split
 
 
 def _cmd_synth(args) -> int:
@@ -52,14 +57,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    configs = _load_configs(args.config)
-    split = load_dataset(args.data)
-    model_cfg = dataclasses.replace(
-        configs["model"], num_classes=len(split.alphabet.letters)
-    )
-    configs["model"] = model_cfg
+    configs, split = _training_inputs(args)
     out = Path(args.out)
-    model = Recognizer(model_cfg, seed=configs["train"].seed)
+    model = Recognizer(configs["model"], seed=configs["train"].seed)
     save_config(configs, out / "config.resolved.ini")  # before train(), so a diverged run keeps its echo
     result = train(model, split, configs["train"], out_dir=out)
     print(f"best dev accuracy {result.best_dev_acc:.4f} at epoch {result.best_epoch}; "
@@ -110,18 +110,13 @@ def _cmd_lm_train(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    configs = _load_configs(args.config)
-    split = load_dataset(args.data)
-    model_cfg = dataclasses.replace(
-        configs["model"], num_classes=len(split.alphabet.letters)
-    )
-    table = ablate(split, configs["train"], model_cfg)
+    configs, split = _training_inputs(args)
+    table = ablate(split, configs["train"], configs["model"])
     print(table.to_text(), end="")
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "ablation.txt").write_text(table.to_text(), encoding="utf-8")
-        configs["model"] = model_cfg
         save_config(configs, out / "config.resolved.ini")
     return 0
 

@@ -123,7 +123,8 @@ def _paste(canvas: np.ndarray, block: np.ndarray, tint: np.ndarray, x: int, y: i
 
 
 def _render_clip(seed: int, clip_index: int, target: tuple[int, ...], signer_id: int,
-                 left_handed: bool, cfg: GenConfig) -> np.ndarray:
+                 cfg: GenConfig) -> np.ndarray:
+    """The right-handed frames of one clip."""
     rng = np.random.default_rng([seed, clip_index])
     profile = _signer_profile(seed, signer_id)
     s = cfg.frame_size
@@ -167,8 +168,6 @@ def _render_clip(seed: int, clip_index: int, target: tuple[int, ...], signer_id:
         x += dx
         y += dy
     np.clip(frames, 0.0, 1.0, out=frames)
-    if left_handed:
-        frames = frames[:, :, :, ::-1].copy()
     return frames
 
 
@@ -199,7 +198,7 @@ def synthesize(seed: int, n_clips: int, alphabet: Alphabet, cfg: GenConfig | Non
     counts = {"train": n_train, "dev": n_dev, "test": max(n_test, 0)}
 
     # signers are assigned to partitions up front; too few and dev and test share the last one
-    signer_ids = list(range(cfg.n_signers))
+    signer_ids = range(cfg.n_signers)
     s_train = max(1, int(round(cfg.train_fraction * cfg.n_signers)))
     s_dev = max(1, int(round(cfg.dev_fraction * cfg.n_signers)))
     s_dev = min(s_dev, cfg.n_signers - s_train - 1) if cfg.n_signers - s_train > 1 else 1
@@ -216,16 +215,9 @@ def synthesize(seed: int, n_clips: int, alphabet: Alphabet, cfg: GenConfig | Non
             rng = np.random.default_rng([seed, clip_index, 1])
             signer = partition_signers[name][int(rng.integers(0, len(partition_signers[name])))]
             target = _sample_target(rng, alphabet, cfg)
-            left = bool(rng.random() < cfg.left_handed_rate)
-            frames = _render_clip(seed, clip_index, target, signer, left, cfg)
-            partitions[name].append(
-                SyntheticClip(
-                    frames=frames,
-                    target=target,
-                    signer_id=signer,
-                    handedness="left" if left else "right",
-                )
-            )
+            left = rng.random() < cfg.left_handed_rate
+            clip = SyntheticClip(_render_clip(seed, clip_index, target, signer, cfg), target, signer, "right")
+            partitions[name].append(horizontal_flip(clip) if left else clip)
             clip_index += 1
     return DatasetSplit(
         train=partitions["train"],

@@ -69,16 +69,13 @@ class TrainConfig:
 class AdamW:
     """Adam with bias correction and decoupled weight decay.
 
-    With a zero gradient the update reduces to p *= 1 - lr * weight_decay
-    exactly. A ``None`` gradient counts as zero.
+    With a zero gradient the update reduces to p *= 1 - lr * WEIGHT_DECAY
+    exactly. A ``None`` gradient counts as zero. ``lr`` starts at 0: train() sets it per step.
     """
 
-    def __init__(self, params: list[Parameter], lr: float, weight_decay: float = 0.0):
-        if lr < 0:
-            raise ValueError(f"learning rate must be nonnegative: {lr}")
+    def __init__(self, params: list[Parameter]):
         self.params = list(params)
-        self.lr = lr
-        self.weight_decay = weight_decay
+        self.lr = 0.0
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
@@ -94,18 +91,19 @@ class AdamW:
             v *= BETA2
             v += (1.0 - BETA2) * g * g
             update = (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
-            p.data -= self.lr * (update + self.weight_decay * p.data)
+            p.data -= self.lr * (update + WEIGHT_DECAY * p.data)
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.zero_grad()
 
 
-def clip_grad_norm(params: list[Parameter], max_norm: float) -> float:
+def clip_grad_norm(params: list[Parameter]) -> float:
+    """Scale the gradients to norm at most ``GRAD_CLIP``; returns the norm before."""
     grads = [p.grad for p in params if p.grad is not None]
     total = math.sqrt(sum(float((g * g).sum()) for g in grads))
-    if total > max_norm:
-        scale = max_norm / total
+    if total > GRAD_CLIP:
+        scale = GRAD_CLIP / total
         for g in grads:
             g *= scale
     return total
@@ -190,7 +188,7 @@ def train(model: Recognizer, split: DatasetSplit, cfg: TrainConfig,
     if not split.train or not split.dev:
         raise ValueError(f"cannot train: the {'dev' if split.train else 'train'} partition is empty "
                          f"({len(split.train)} train clips, {len(split.dev)} dev clips)")
-    opt = AdamW(model.parameters(), lr=cfg.lr, weight_decay=WEIGHT_DECAY)
+    opt = AdamW(model.parameters())
     out = Path(out_dir) if out_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
@@ -228,7 +226,7 @@ def train(model: Recognizer, split: DatasetSplit, cfg: TrainConfig,
                 del dist, report  # free this clip's graph before the next forward
             if not batch_info:
                 continue
-            if not math.isfinite(clip_grad_norm(opt.params, GRAD_CLIP)):
+            if not math.isfinite(clip_grad_norm(opt.params)):
                 clips = ", ".join(str(idx) for idx, _, _ in batch_info)
                 raise _diverged(f"non-finite gradient at epoch {epoch}, batch of clips {clips}", batch_info, split, out)
             opt.lr = cfg.lr * 0.5 * (1.0 + math.cos(math.pi * opt.t / total_steps))

@@ -17,6 +17,12 @@ def dist_of(probs) -> FrameDistributionSeq:
         return FrameDistributionSeq(Tensor(np.log(np.asarray(probs, dtype=np.float64))))
 
 
+def random_dist(rng, t, cprime):
+    """A T x C' array of strictly positive frame distributions."""
+    probs = rng.random((t, cprime)) + 1e-3
+    return probs / probs.sum(axis=1, keepdims=True)
+
+
 # 1 to 4 (position, byte) overwrites; positions wrap modulo the file length
 CORRUPTIONS = st.lists(st.tuples(st.integers(0, 1 << 20), st.integers(0, 255)), min_size=1, max_size=4)
 

@@ -20,12 +20,7 @@ from ctcseq.ctc import (
     min_frames,
 )
 from ctcseq.losses import combined_loss
-from conftest import dist_of
-
-
-def random_dist(rng, t, cprime):
-    probs = rng.random((t, cprime)) + 1e-3
-    return probs / probs.sum(axis=1, keepdims=True)
+from conftest import dist_of, random_dist
 
 
 class TestAlphabet:

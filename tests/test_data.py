@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -105,6 +106,17 @@ class TestSynthesize:
         clips = split.train + split.dev + split.test
         rate = sum(c.handedness == "left" for c in clips) / len(clips)
         assert 0.03 <= rate <= 0.12
+
+    def test_signer_count_costs_no_memory(self):
+        """Signers are partitioned as index ranges: a million of them allocate nothing each."""
+        tracemalloc.start()
+        try:
+            split = synthesize(0, 6, ALPHABET, GenConfig(frame_size=16, n_signers=10**6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 10**6
+        assert split.signer_disjoint
 
     def test_word_list_sampling(self):
         cfg = small_cfg(words=("ab", "cde"))

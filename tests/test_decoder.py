@@ -18,12 +18,7 @@ from ctcseq.decoder import (
 )
 from ctcseq.lm import lm_train
 from beam_reference import greedy_beam_disagreement_example, reference_beam_search
-from conftest import dist_of
-
-
-def random_dist(rng, t, cprime):
-    probs = rng.random((t, cprime)) + 1e-3
-    return probs / probs.sum(axis=1, keepdims=True)
+from conftest import dist_of, random_dist
 
 
 def one_hot_dist(path, cprime):

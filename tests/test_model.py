@@ -26,6 +26,7 @@ from ctcseq.model import (
     save_checkpoint,
     sinusoidal_encoding,
 )
+from ctcseq.training import forward_frames
 
 TOY = ModelConfig(
     feat_channels=8,
@@ -306,43 +307,40 @@ class TestFullModel:
         for t in (1, 3, 7):
             model = Recognizer(TOY, seed=0)
             frames = toy_frames(np.random.default_rng(t), t=t)
-            dist = model.forward(normalize(frames), motion_prior(frames, TOY.feat_grid))
+            dist = forward_frames(model, frames)
             assert dist.log_probs.shape == (t, TOY.num_classes + 1)
 
     def test_eval_mode_deterministic(self):
         model = Recognizer(TOY, seed=1)
-        raw = toy_frames(np.random.default_rng(0), t=4)
-        frames, priors = normalize(raw), motion_prior(raw, TOY.feat_grid)
-        a = model.forward(frames, priors).log_probs.data
-        b = model.forward(frames, priors).log_probs.data
+        frames = toy_frames(np.random.default_rng(0), t=4)
+        a = forward_frames(model, frames).log_probs.data
+        b = forward_frames(model, frames).log_probs.data
         assert np.array_equal(a, b)
 
     def test_end_to_end_causality(self):
         rng = np.random.default_rng(3)
         model = Recognizer(TOY, seed=2)
         frames = toy_frames(rng, t=5)
-        priors = motion_prior(frames, TOY.feat_grid)
-        base = model.forward(normalize(frames), priors=priors).log_probs.data
+        base = forward_frames(model, frames).log_probs.data
         for t_cut in (2, 4):
             bumped = frames.copy()
             bumped[t_cut] = rng.random(frames.shape[1:])
-            # keep earlier priors identical: motion at t_cut affects prior
-            # rows >= t_cut only, which is allowed to change
-            p2 = motion_prior(bumped, TOY.feat_grid)
-            out = model.forward(normalize(bumped), priors=p2).log_probs.data
+            # earlier priors stay identical: motion at t_cut affects prior
+            # rows >= t_cut only, which are allowed to change
+            out = forward_frames(model, bumped).log_probs.data
             assert np.array_equal(out[:t_cut], base[:t_cut])
 
     def test_row_sums(self):
         model = Recognizer(TOY, seed=5)
         frames = toy_frames(np.random.default_rng(2))
-        dist = model.forward(normalize(frames), motion_prior(frames, TOY.feat_grid))
+        dist = forward_frames(model, frames)
         assert np.allclose(np.exp(dist.log_probs.data).sum(axis=1), 1.0, atol=1e-12)
 
     def test_training_mode_requires_rng(self):
         model = Recognizer(TOY, seed=0)
         frames = toy_frames(np.random.default_rng(0))
         with pytest.raises(ValueError):
-            model.forward(normalize(frames), motion_prior(frames, TOY.feat_grid), training=True)
+            forward_frames(model, frames, training=True)
 
     @pytest.mark.parametrize(
         "group",
@@ -402,13 +400,12 @@ class TestMotionPrior:
 class TestCheckpoints:
     def test_round_trip_bitwise(self, tmp_path):
         model = Recognizer(TOY, seed=9)
-        raw = toy_frames(np.random.default_rng(1))
-        frames, priors = normalize(raw), motion_prior(raw, TOY.feat_grid)
-        before = model.forward(frames, priors).log_probs.data
+        frames = toy_frames(np.random.default_rng(1))
+        before = forward_frames(model, frames).log_probs.data
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path, Alphabet(tuple("wxyz")), extra={"note": "test"})
         loaded, letters = load_checkpoint(path)
-        after = loaded.forward(frames, priors).log_probs.data
+        after = forward_frames(loaded, frames).log_probs.data
         assert np.array_equal(before, after)
         assert letters == Alphabet(tuple("wxyz"))
 

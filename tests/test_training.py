@@ -13,6 +13,8 @@ from ctcseq.autodiff import Parameter, backward
 from ctcseq.losses import combined_loss
 from ctcseq.model import ModelConfig, Recognizer, load_checkpoint
 from ctcseq.training import (
+    GRAD_CLIP,
+    WEIGHT_DECAY,
     AdamW,
     TrainConfig,
     TrainingDiverged,
@@ -50,23 +52,25 @@ class TestAdamW:
         rng = np.random.default_rng(0)
         p = Parameter(rng.normal(size=(3, 3)))
         start = p.data.copy()
-        opt = AdamW([p], lr=0.01, weight_decay=0.1)
+        opt = AdamW([p])
+        opt.lr = 0.01
         for step in range(1, 4):
             opt.step()
-            assert np.abs(p.data - start * (1 - 0.01 * 0.1) ** step).max() < 1e-12
+            assert np.abs(p.data - start * (1 - 0.01 * WEIGHT_DECAY) ** step).max() < 1e-12
 
     def test_zero_lr_is_bitwise_noop(self):
         p = Parameter(np.random.default_rng(1).normal(size=4))
         start = p.data.copy()
         p.grad = np.random.default_rng(2).normal(size=4)
-        opt = AdamW([p], lr=0.0, weight_decay=0.01)
+        opt = AdamW([p])  # lr starts at 0
         opt.step()
         assert np.array_equal(p.data, start)
 
     def test_step_moves_against_gradient(self):
         p = Parameter(np.zeros(3))
         p.grad = np.array([1.0, -1.0, 0.5])
-        opt = AdamW([p], lr=0.1)
+        opt = AdamW([p])
+        opt.lr = 0.1
         opt.step()
         assert np.all(np.sign(p.data) == -np.sign(p.grad))
 
@@ -76,21 +80,22 @@ class TestAdamW:
         missing = Parameter(zero.data.copy())
         zero.grad = np.zeros(4)
         for p in (zero, missing):
-            opt = AdamW([p], lr=0.01, weight_decay=0.1)
+            opt = AdamW([p])
+            opt.lr = 0.01
             for _ in range(3):
                 opt.step()
         assert np.array_equal(zero.data, missing.data)
         other = Parameter(np.zeros(2))
         other.grad = np.array([3.0, 4.0])
-        assert clip_grad_norm([missing, other], 1.0) == 5.0
+        assert clip_grad_norm([missing, other]) == 5.0
         assert missing.grad is None
 
     def test_clip_grad_norm(self):
         p = Parameter(np.zeros(4))
-        p.grad = np.array([3.0, 4.0, 0.0, 0.0])
-        total = clip_grad_norm([p], 1.0)
-        assert total == pytest.approx(5.0)
-        assert np.linalg.norm(p.grad) == pytest.approx(1.0, abs=1e-12)
+        p.grad = np.array([30.0, 40.0, 0.0, 0.0])
+        total = clip_grad_norm([p])
+        assert total == pytest.approx(50.0)
+        assert np.linalg.norm(p.grad) == pytest.approx(GRAD_CLIP, abs=1e-12)
 
 
 class TestTrainConfig:
@@ -236,14 +241,15 @@ class TestTrainLoop:
         split = synthesize(21, 3, ALPHABET, cfg)
         clip = split.train[0]
         model = Recognizer(SMALL_MODEL, seed=4)
-        opt = AdamW(model.parameters(), lr=3e-3)
+        opt = AdamW(model.parameters())
+        opt.lr = 3e-3
         losses = []
         for _ in range(120):
             dist = forward_frames(model, clip.frames)
             report = combined_loss(dist, clip.target, 0.0)
             losses.append(report.total)
             backward(report.node)
-            clip_grad_norm(opt.params, 5.0)
+            clip_grad_norm(opt.params)
             opt.step()
             opt.zero_grad()
         smooth = np.convolve(losses, np.ones(20) / 20, mode="valid")

@@ -15,12 +15,12 @@ from ctcseq.autodiff import backward
 from ctcseq.data import DatasetSplit, horizontal_flip
 from ctcseq.losses import combined_loss
 from ctcseq.model import Recognizer
-from ctcseq.training import GRAD_CLIP, WEIGHT_DECAY, AdamW, TrainConfig, clip_grad_norm, forward_frames
+from ctcseq.training import AdamW, TrainConfig, clip_grad_norm, forward_frames
 
 
 def train_reference(model: Recognizer, split: DatasetSplit, cfg: TrainConfig) -> list[float]:
     """Train ``model`` in place; returns the mean clip loss of each epoch."""
-    opt = AdamW(model.parameters(), lr=cfg.lr, weight_decay=WEIGHT_DECAY)
+    opt = AdamW(model.parameters())
     total_steps = cfg.epochs * math.ceil(len(split.train) / cfg.batch_size)
     losses = []
     for epoch in range(1, cfg.epochs + 1):
@@ -44,7 +44,7 @@ def train_reference(model: Recognizer, split: DatasetSplit, cfg: TrainConfig) ->
             for node in nodes[1:]:
                 total = total + node
             backward(total * (1.0 / len(nodes)))
-            clip_grad_norm(opt.params, GRAD_CLIP)
+            clip_grad_norm(opt.params)
             opt.lr = cfg.lr * 0.5 * (1.0 + math.cos(math.pi * opt.t / total_steps))
             opt.step()
             opt.zero_grad()

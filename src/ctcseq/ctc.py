@@ -132,7 +132,7 @@ def _lattice(lp: np.ndarray, ext) -> np.ndarray:
     # a skip over a blank is allowed unless it would merge a repeated letter
     skip = np.flatnonzero((ext[2:] != ext[0]) & (ext[2:] != ext[:-2])) + 2
     mass = np.full(emit.shape, NEG_INF)
-    mass[0, :2] = 0.0
+    mass[:1, :2] = 0.0  # with no frames there is no first row, and the lattice is empty
     for t in range(1, len(mass)):
         prev = mass[t - 1] + emit[t - 1]
         cur = prev.copy()
@@ -165,9 +165,12 @@ def ctc_loss(dist: FrameDistributionSeq, target) -> CtcLossResult:
     s_total = len(ext)
 
     alpha = _lattice(lp, ext) + lp[:, ext]
-    log_p = alpha[-1, s_total - 1]
-    if s_total > 1:
-        log_p = np.logaddexp(log_p, alpha[-1, s_total - 2])
+    if t_total == 0:  # the one alignment of no frames is the empty path, which carries only the empty target
+        log_p = 0.0 if s_total == 1 else NEG_INF
+    else:
+        log_p = alpha[-1, s_total - 1]
+        if s_total > 1:
+            log_p = np.logaddexp(log_p, alpha[-1, s_total - 2])
     if log_p == NEG_INF:  # no alignment has mass: the vjp below would be NaN
         return CtcLossResult(Tensor(float("inf")))
 

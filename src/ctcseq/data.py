@@ -34,6 +34,19 @@ BACKGROUND_NOISE = 0.02  # std of the per-pixel Gaussian noise
 POSITION_JITTER = 1.5  # bound of the per-clip drift in pixels per frame
 
 
+# each range rule a config key follows, worded as its error message words it
+_RANGES = {">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1,
+           "in [0, 1]": lambda v: 0.0 <= v <= 1.0, "in [0, 1)": lambda v: 0.0 <= v < 1.0}
+
+
+def check_ranges(cfg, rules: dict[str, str]) -> None:
+    """Raise a ValueError naming the first key of ``cfg`` whose value, or either side of a grid, breaks its rule."""
+    for key, rule in rules.items():
+        value = getattr(cfg, key)
+        if not all(map(_RANGES[rule], value if isinstance(value, tuple) else (value,))):
+            raise ValueError(f"{key} must be {rule}: {value}")
+
+
 @dataclass(frozen=True)
 class GenConfig:
     frame_size: int = 64
@@ -46,18 +59,13 @@ class GenConfig:
     words: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.min_letters < 1 or self.max_letters < self.min_letters:
-            raise ValueError("invalid letters-per-clip range")
-        for key in ("frame_size", "n_signers"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be >= 1: {getattr(self, key)}")
-        if not 0.0 <= self.left_handed_rate <= 1.0:
-            raise ValueError("left_handed_rate must be in [0, 1]")
-        for key in ("train_fraction", "dev_fraction"):
-            if not 0.0 <= getattr(self, key) < 1.0:
-                raise ValueError(f"{key} must be in [0, 1): {getattr(self, key)}")
+        # max_letters has no rule of its own: being >= min_letters, checked below, bounds it
+        check_ranges(self, {"frame_size": ">= 1", "min_letters": ">= 1", "n_signers": ">= 1",
+                            "left_handed_rate": "in [0, 1]", "train_fraction": "in [0, 1)", "dev_fraction": "in [0, 1)"})
+        if self.max_letters < self.min_letters:
+            raise ValueError(f"max_letters must be >= min_letters: {self.max_letters} < {self.min_letters}")
         if not 0.0 < self.train_fraction + self.dev_fraction < 1.0:
-            raise ValueError("train/dev fractions must leave room for a test split")
+            raise ValueError(f"train_fraction + dev_fraction must be in (0, 1): {self.train_fraction + self.dev_fraction}")
 
 
 @dataclass

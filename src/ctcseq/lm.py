@@ -122,6 +122,10 @@ def load_lm(path) -> CharNGramModel:
             ctx, sym, count = ln.split("\t")
             if ctx == EMPTY_CONTEXT:
                 ctx = ""
+            if len(ctx) > order or len(sym) != 1 and sym != EOS:
+                raise ValueError(f"entry {ln!r} is not a context of at most {order} letters and a letter or {EOS}")
+            if sym in counts[ctx]:
+                raise ValueError(f"entry {ln!r} repeats its context and symbol")
             counts[ctx][sym] = int(count)
         return CharNGramModel(order=order, smoothing_alpha=alpha, counts=dict(counts))
     except ValueError as exc:

@@ -80,17 +80,13 @@ def evaluate_clips(results: list[tuple[str, list, list]]) -> EvalReport:
     """Build an EvalReport from (clip_id, predicted, reference) triples."""
     per_clip = []
     counts = []
-    tot_s = tot_d = tot_i = tot_n = 0
     for clip_id, pred, truth in results:
         s, d, i = edit_alignment(pred, truth)
         n = len(list(truth))
         acc = max(0.0, 1.0 - (s + d + i) / n) if n else 0.0
         per_clip.append((clip_id, acc))
         counts.append((s, d, i, n))
-        tot_s += s
-        tot_d += d
-        tot_i += i
-        tot_n += n
+    tot_s, tot_d, tot_i, tot_n = (sum(row[k] for row in counts) for k in range(4))
     mean_acc = sum(a for _, a in per_clip) / len(per_clip) if per_clip else 0.0
     pooled = max(0.0, 1.0 - (tot_s + tot_d + tot_i) / tot_n) if tot_n else 0.0
     return EvalReport(

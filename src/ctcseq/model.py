@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .ctc import Alphabet, FrameDistributionSeq
-from .data import read_exact
+from .data import check_ranges, read_exact
 
 MASK_OFF = -1e9
 
@@ -59,18 +59,13 @@ class ModelConfig:
                  self.context_window, self.num_classes, *self.feat_grid, *self.pooled_grid)
         if len(self.feat_grid) != 2 or len(self.pooled_grid) != 2 or not all(isinstance(v, int) for v in sizes):
             raise ValueError("layer sizes, heads and windows must be integers, and each grid two of them")
-        if min(self.feat_channels, self.embed_dim, self.heads, self.ffn_hidden,
-               *self.feat_grid, *self.pooled_grid) < 1:
-            raise ValueError("feat_channels, embed_dim, heads, ffn_hidden and the grids must be >= 1")
+        check_ranges(self, {"feat_channels": ">= 1", "feat_grid": ">= 1", "pooled_grid": ">= 1",
+                            "embed_dim": ">= 1", "encoder_layers": ">= 0", "heads": ">= 1", "ffn_hidden": ">= 1",
+                            "context_window": ">= 0", "num_classes": ">= 1"})
         if self.embed_dim % self.heads != 0:
             raise ValueError(f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
         if any(p > f for p, f in zip(self.pooled_grid, self.feat_grid)):
-            raise ValueError(f"pooled grid {self.pooled_grid} exceeds feature grid {self.feat_grid}")
-        for key in ("encoder_layers", "context_window"):
-            if getattr(self, key) < 0:
-                raise ValueError(f"{key} must be >= 0: {getattr(self, key)}")
-        if self.num_classes < 1:
-            raise ValueError("need at least one letter class")
+            raise ValueError(f"pooled_grid {self.pooled_grid} exceeds feat_grid {self.feat_grid}")
 
 
 class Module:

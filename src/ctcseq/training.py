@@ -18,7 +18,7 @@ import numpy as np
 from . import decoder as dec
 from .autodiff import Parameter, backward, no_grad
 from .ctc import min_frames
-from .data import DatasetSplit, SyntheticClip, horizontal_flip, normalize
+from .data import DatasetSplit, SyntheticClip, check_ranges, horizontal_flip, normalize
 from .losses import combined_loss
 from .lm import CharNGramModel, lm_train
 from .metrics import evaluate_clips
@@ -53,17 +53,8 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 < self.lr < math.inf:
             raise ValueError(f"lr must be positive and finite: {self.lr}")
-        if not 0.0 <= self.flip_prob <= 1.0:
-            raise ValueError(f"flip probability must be in [0, 1]: {self.flip_prob}")
-        if not 0.0 <= self.mel_weight <= 1.0:
-            raise ValueError(f"mel_weight must be in [0, 1]: {self.mel_weight}")
-        for key in ("epochs", "batch_size", "beam_width", "lm_order"):
-            if getattr(self, key) < 1:
-                raise ValueError(f"{key} must be >= 1: {getattr(self, key)}")
-        if not 0.0 <= self.lm_alpha <= 1.0:
-            raise ValueError(f"lm weight must be in [0, 1]: {self.lm_alpha}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0: {self.seed}")
+        check_ranges(self, {"epochs": ">= 1", "mel_weight": "in [0, 1]", "flip_prob": "in [0, 1]", "beam_width": ">= 1",
+                            "lm_alpha": "in [0, 1]", "lm_order": ">= 1", "seed": ">= 0", "batch_size": ">= 1"})
 
 
 class AdamW:

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import re
 import shlex
@@ -8,6 +9,7 @@ import pytest
 
 from conftest import checkpoint_parts, sealed_checkpoint
 from ctcseq.cli import build_parser, main
+from ctcseq.config import SECTIONS
 from ctcseq.ctc import Alphabet
 
 ABCDE = Alphabet(tuple("abcde"))
@@ -514,6 +516,28 @@ class TestErrors:
         out, err = capsys.readouterr()
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1 and message in err
+        assert not (tmp_path / "o").exists()
+
+    # one out-of-range value for every config key; a new key without one fails the test below
+    BAD_VALUES = {
+        "model": {"feat_channels": "0", "feat_grid": "0x8", "pooled_grid": "9x9", "embed_dim": "0",
+                  "encoder_layers": "-1", "heads": "0", "ffn_hidden": "0", "context_window": "-1", "num_classes": "0"},
+        "train": {"lr": "0", "epochs": "0", "mel_weight": "2", "flip_prob": "2", "beam_width": "0", "lm_alpha": "2",
+                  "lm_order": "0", "seed": "-1", "batch_size": "0"},
+        "data": {"frame_size": "0", "min_letters": "0", "max_letters": "1", "n_signers": "0", "left_handed_rate": "2",
+                 "train_fraction": "1", "dev_fraction": "-0.1", "words": "xyz"},
+    }
+
+    @pytest.mark.parametrize("section, key", [(section, f.name) for section, cls in SECTIONS.items()
+                                              for f in dataclasses.fields(cls)])
+    def test_out_of_range_value_names_its_key(self, tmp_path, capsys, section, key):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[{section}]\n{key} = {self.BAD_VALUES[section][key]}\n")
+        code = main(["synth", "--seed", "1", "--n-clips", "2",
+                     "--out", str(tmp_path / "o"), "--config", str(cfg)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and re.search(rf"\b{key}\b", err), err
         assert not (tmp_path / "o").exists()
 
     def test_config_directory_is_one_error_line(self, tmp_path, capsys):

@@ -146,7 +146,7 @@ class TestCtcLoss:
         assert abs(got - bf) < 1e-9
 
     @settings(max_examples=80, deadline=None)
-    @given(st.integers(min_value=1, max_value=40),
+    @given(st.integers(min_value=0, max_value=40),
            st.lists(st.tuples(st.integers(min_value=0, max_value=25), st.booleans()), max_size=26),
            st.integers(min_value=0, max_value=2**32 - 1))
     def test_feasible_exactly_when_min_frames_fit(self, t, letters, seed):

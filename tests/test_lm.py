@@ -117,7 +117,11 @@ class TestSerialization:
         "CHARLM v1 order=1 alpha=1.0\n·\ta\t1\n·\tb\t-9\n",
         "CHARLM v1 order=x alpha=1.0\n",
         "CHARLM v1 order=1 alpha=1.0\n·\ta\n",
-    ], ids=["empty", "nan-alpha", "inf-alpha", "negative-count", "bad-order", "short-line"])
+        "CHARLM v1 order=1 alpha=1.0\n·\ta\t1\n·\ta\t99\n",
+        "CHARLM v1 order=2 alpha=1.0\n·\ta\t1\nabab\ta\t1\n",
+        "CHARLM v1 order=1 alpha=1.0\n·\tab\t1\n",
+    ], ids=["empty", "nan-alpha", "inf-alpha", "negative-count", "bad-order", "short-line", "repeated-entry",
+            "context-beyond-order", "multi-letter-symbol"])
     def test_malformed_file_rejected_naming_the_file(self, tmp_path, text):
         path = tmp_path / "odd.charlm"
         path.write_text(text, encoding="utf-8")

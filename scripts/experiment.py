@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Train an acceptance setup over seeds; print each seed's wall time and dev
-letter-accuracy table under the three decoders, then the mean table.
+letter-accuracy table under the three decoders, that table's cells at full
+precision as one JSON line, then the mean table.
 
   crit8  the default model and training config (the ctc+mel+flip row) on
          400 clips of 2-4 random letters
@@ -9,12 +10,12 @@ letter-accuracy table under the three decoders, then the mean table.
 from __future__ import annotations
 
 import argparse
+import json
 import time
 
 from ctcseq.ctc import Alphabet
 from ctcseq.data import GenConfig, synthesize
 from ctcseq.decoder import DECODERS
-from ctcseq.lm import lm_train
 from ctcseq.model import ModelConfig, Recognizer
 from ctcseq.training import ABLATION_ROWS, AblationTable, TrainConfig, ablate, train_and_score
 
@@ -23,10 +24,8 @@ ABCDE = Alphabet(tuple("abcde"))
 
 def crit8(seed: int, epochs: int) -> AblationTable:
     split = synthesize(seed, 400, ABCDE, GenConfig(train_fraction=0.75, dev_fraction=0.15))
-    cfg = TrainConfig(seed=seed, epochs=epochs)
-    lm = lm_train([ABCDE.decode(c.target) for c in split.train], order=cfg.lm_order)
     model = Recognizer(ModelConfig(num_classes=5), seed)
-    return AblationTable([(ABLATION_ROWS[-1][0], train_and_score(model, split, cfg, lm))])
+    return AblationTable([(ABLATION_ROWS[-1][0], train_and_score(model, split, TrainConfig(seed=seed, epochs=epochs)))])
 
 
 def crit9(seed: int, epochs: int) -> AblationTable:
@@ -55,7 +54,8 @@ def main() -> None:
         start = time.time()
         table = run(seed, epochs)
         print(f"seed {seed} ({time.time() - start:.0f}s):")
-        print(table.to_text())
+        # then the cells at full precision: JSON writes floats by repr
+        print(table.to_text() + json.dumps(dict(table.rows)) + "\n")
         for label, cells in table.rows:
             row = sums.setdefault(label, dict.fromkeys(DECODERS, 0.0))
             for name, acc in cells.items():

@@ -1,9 +1,9 @@
 """Command-line entry point: synth, train, eval, decode, lm-train, ablate.
 
-Every command validates its configuration before touching the filesystem,
-writes outputs only under its --out path, and drops a fully resolved
-config echo next to whatever it produces. The CTCSEQ_SEED environment
-variable overrides the seed everywhere one is used.
+Every command validates its configuration before touching the filesystem
+and writes outputs only under its --out path; synth, train and ablate drop
+a fully resolved config echo next to what they write. The CTCSEQ_SEED
+environment variable overrides the seed everywhere one is used.
 """
 from __future__ import annotations
 
@@ -158,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lm-train", help="train a character n-gram model")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--order", type=int, default=3)
+    p.add_argument("--order", type=int, default=TrainConfig.lm_order)
     p.add_argument("--smoothing-alpha", type=float, default=1.0)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=_cmd_lm_train)

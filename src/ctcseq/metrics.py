@@ -34,23 +34,19 @@ def edit_alignment(pred, truth) -> tuple[int, int, int]:
 def letter_accuracy(pred, truth) -> float:
     """max(0, 1 - (S + D + I) / N) for one clip, as ``evaluate_clips``
     scores it; the clamp keeps accuracy nonnegative."""
-    truth = list(truth)
-    if not truth:
-        raise ValueError("letter accuracy is undefined for an empty reference")
     return evaluate_clips([("", pred, truth)]).mean_letter_accuracy
 
 
 @dataclass
 class EvalReport:
-    """Per-clip accuracies plus pooled error counts.
+    """One (clip id, accuracy, S, D, I, N) row per clip, plus their totals.
 
     ``mean_letter_accuracy`` is the unweighted per-clip mean (the headline
     number); ``pooled_letter_accuracy`` re-derives accuracy from the summed
     error counts, since sources differ on which aggregation they report.
     """
 
-    per_clip: list[tuple[str, float]]
-    counts_per_clip: list[tuple[int, int, int, int]]
+    per_clip: list[tuple[str, float, int, int, int, int]]
     mean_letter_accuracy: float
     pooled_letter_accuracy: float
     substitutions: int
@@ -59,14 +55,12 @@ class EvalReport:
     reference_letters: int
 
     def to_lines(self) -> str:
-        rows = []
-        for (clip_id, acc), (s, d, i, n) in zip(self.per_clip, self.counts_per_clip):
-            rows.append(f"{clip_id}\t{acc:.6f}\t{s}\t{d}\t{i}\t{n}")
+        rows = [f"{clip_id}\t{acc:.6f}\t{s}\t{d}\t{i}\t{n}" for clip_id, acc, s, d, i, n in self.per_clip]
         return "\n".join(rows) + "\n"
 
     def to_table(self) -> str:
         lines = [f"{'clip':<16}{'acc':>8}{'S':>5}{'D':>5}{'I':>5}{'N':>5}"]
-        for (clip_id, acc), (s, d, i, n) in zip(self.per_clip, self.counts_per_clip):
+        for clip_id, acc, s, d, i, n in self.per_clip:
             lines.append(f"{clip_id:<16}{acc:>8.4f}{s:>5}{d:>5}{i:>5}{n:>5}")
         lines.append(
             f"mean letter accuracy  {self.mean_letter_accuracy:.4f}  "
@@ -77,21 +71,20 @@ class EvalReport:
 
 
 def evaluate_clips(results: list[tuple[str, list, list]]) -> EvalReport:
-    """Build an EvalReport from (clip_id, predicted, reference) triples."""
+    """Build an EvalReport from (clip_id, predicted, reference) triples; an
+    empty reference, where letter accuracy is undefined, is refused."""
     per_clip = []
-    counts = []
     for clip_id, pred, truth in results:
+        n = len(truth)
+        if not n:
+            raise ValueError(f"letter accuracy is undefined for the empty reference of clip {clip_id!r}")
         s, d, i = edit_alignment(pred, truth)
-        n = len(list(truth))
-        acc = max(0.0, 1.0 - (s + d + i) / n) if n else 0.0
-        per_clip.append((clip_id, acc))
-        counts.append((s, d, i, n))
-    tot_s, tot_d, tot_i, tot_n = (sum(row[k] for row in counts) for k in range(4))
-    mean_acc = sum(a for _, a in per_clip) / len(per_clip) if per_clip else 0.0
+        per_clip.append((clip_id, max(0.0, 1.0 - (s + d + i) / n), s, d, i, n))
+    tot_s, tot_d, tot_i, tot_n = (sum(row[k] for row in per_clip) for k in range(2, 6))
+    mean_acc = sum(row[1] for row in per_clip) / len(per_clip) if per_clip else 0.0
     pooled = max(0.0, 1.0 - (tot_s + tot_d + tot_i) / tot_n) if tot_n else 0.0
     return EvalReport(
         per_clip=per_clip,
-        counts_per_clip=counts,
         mean_letter_accuracy=mean_acc,
         pooled_letter_accuracy=pooled,
         substitutions=tot_s,

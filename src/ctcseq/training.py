@@ -282,11 +282,12 @@ class AblationTable:
         return "\n".join(lines) + "\n"
 
 
-def train_and_score(model: Recognizer, split: DatasetSplit, cfg: TrainConfig,
-                    lm: CharNGramModel) -> dict[str, float]:
+def train_and_score(model: Recognizer, split: DatasetSplit, cfg: TrainConfig) -> dict[str, float]:
     """Train ``model`` in place, then return its dev mean letter accuracy
-    under each of ``DECODERS``."""
+    under each of ``DECODERS``, beam-lm fused with the order-``cfg.lm_order``
+    LM of the train words."""
     train(model, split, cfg)
+    lm = lm_train([split.alphabet.decode(c.target) for c in split.train], order=cfg.lm_order)
     return {
         decoder: evaluate(model, split.dev, decoder=decoder, beam_width=cfg.beam_width, lm=lm,
                           alpha=cfg.lm_alpha, alphabet=split.alphabet).mean_letter_accuracy
@@ -297,8 +298,6 @@ def train_and_score(model: Recognizer, split: DatasetSplit, cfg: TrainConfig,
 def ablate(split: DatasetSplit, base_cfg: TrainConfig, model_cfg: ModelConfig) -> AblationTable:
     """Train a fresh model on each of the four loss/augmentation combinations
     and score it with ``train_and_score``."""
-    corpus = [split.alphabet.decode(c.target) for c in split.train]
-    lm = lm_train(corpus, order=base_cfg.lm_order)
     rows = []
     for label, use_mel, use_flip in ABLATION_ROWS:
         cfg = replace(
@@ -306,5 +305,5 @@ def ablate(split: DatasetSplit, base_cfg: TrainConfig, model_cfg: ModelConfig) -
             mel_weight=base_cfg.mel_weight if use_mel else 0.0,
             flip_prob=base_cfg.flip_prob if use_flip else 0.0,
         )
-        rows.append((label, train_and_score(Recognizer(model_cfg, seed=cfg.seed), split, cfg, lm)))
+        rows.append((label, train_and_score(Recognizer(model_cfg, seed=cfg.seed), split, cfg)))
     return AblationTable(rows=rows)

@@ -68,6 +68,8 @@ class TestLetterAccuracy:
     def test_empty_reference_rejected(self):
         with pytest.raises(ValueError):
             letter_accuracy("cat", "")
+        with pytest.raises(ValueError, match="clip_b"):
+            evaluate_clips([("clip_a", list("ab"), list("ab")), ("clip_b", [0], [])])
 
     @given(seqs, st.text(alphabet="abc", min_size=1, max_size=8).map(list))
     def test_range_and_equality_condition(self, pred, truth):

@@ -2,6 +2,7 @@
 renamed or deleted name they use fails here rather than at run time, and
 the experiment runner runs end to end on its smallest setting."""
 import importlib.util
+import json
 import re
 import sys
 from pathlib import Path
@@ -36,9 +37,15 @@ def test_experiment_runs_one_crit9_seed(monkeypatch, capsys):
     monkeypatch.setattr(sys, "argv", ["experiment.py", "--setup", "crit9", "--seeds", "0", "--epochs", "1"])
     experiment.main()
     seed_part, mean_part = capsys.readouterr().out.split("mean over seeds [0]:\n")
-    seed_line, seed_table = seed_part.split("\n", 1)
+    seed_line, *seed_table, cells_line = seed_part.strip().splitlines()
     assert re.fullmatch(r"seed 0 \(\d+s\):", seed_line)
-    for table in (seed_table, mean_part):
+    for table in ("\n".join(seed_table), mean_part):
         header, *rows = table.strip().splitlines()
         assert header.split() == ["setting", *DECODERS]
         assert [row.split()[0] for row in rows] == [label for label, _, _ in ABLATION_ROWS]
+    # the seed's cells at full precision, each of which its 4-decimal table shows rounded
+    cells = json.loads(cells_line)
+    assert list(cells) == [label for label, _, _ in ABLATION_ROWS]
+    for row in seed_table[1:]:
+        label, *shown = row.split()
+        assert shown == [f"{cells[label][d]:.4f}" for d in DECODERS]

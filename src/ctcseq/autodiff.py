@@ -4,7 +4,9 @@ The graph is built eagerly by the op functions below and walked once in
 reverse topological order by ``backward``. Only the operations the
 recognizer actually composes are provided, each with an explicit
 vector-Jacobian rule; ``tests/autodiff_reference.py`` holds the
-finite-difference oracle that verifies every one of them.
+finite-difference oracle that verifies every one of them. A graph's
+backward runs once: ``conv2d``'s vjp frees the columns it used, and a
+second walk through it raises ``ValueError``.
 
 Gradients accumulate into ``Parameter.grad`` across backward calls until
 explicitly zeroed, so per-batch accumulation falls out for free. A
@@ -337,10 +339,14 @@ def conv2d(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor:
     np.maximum(out_data, 0.0, out=out_data)
 
     def vjp(g):
+        nonlocal cols
+        if cols is None:
+            raise ValueError("conv2d's vjp already ran: backward walks a graph once")
         g = g * (out_data > 0.0)  # relu(x) > 0 exactly where x > 0
         gmat = g.reshape(cout, -1)
         # the bits of gmat @ cols.T, from a GEMM that takes less time on these shapes
         gw = (cols @ gmat.T).T.reshape(weight.shape) if weight.requires_grad else None
+        cols = None  # the largest buffer of the graph goes before the input gradient allocates
         # per-frame sums added frame after frame: the order, and so the bits, of an NCHW sum
         gb = np.cumsum(g.reshape(cout, n, -1).sum(axis=2), axis=1)[:, -1]
         if not x.requires_grad:
@@ -348,13 +354,13 @@ def conv2d(x, weight, bias, stride: int = 1, padding: int = 0) -> Tensor:
         if stride == 1:  # flat shift: on the padded grid, tap (i, j) is one run at i * wp + j
             gmat = np.zeros((cout, n, hp, wp))
             gmat[:, :, :oh, :ow] = g
-        gcols = (wmat.T @ gmat.reshape(cout, -1)).reshape(cin, kh * kw, -1)
         gxp, span = np.zeros((cin, n, hp, wp)), n * hp * wp - (kh - 1) * wp - (kw - 1)
-        for k, (i, j) in enumerate(np.ndindex(kh, kw)):
+        for k, (i, j) in enumerate(np.ndindex(kh, kw)):  # tap k's rows of wmat.T @ gmat, added at once
+            gcol = wmat.T.reshape(cin, kh * kw, cout)[:, k] @ gmat.reshape(cout, -1)
             if stride == 1:
-                gxp.reshape(cin, -1)[:, i * wp + j : i * wp + j + span] += gcols[:, k, :span]
+                gxp.reshape(cin, -1)[:, i * wp + j : i * wp + j + span] += gcol[:, :span]
             else:
-                gxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += gcols[:, k].reshape(cin, n, oh, ow)
+                gxp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += gcol.reshape(cin, n, oh, ow)
         return gxp[:, :, padding : padding + h, padding : padding + w], gw, gb
 
     return _node(out_data, (x, weight, bias), vjp)

@@ -208,7 +208,7 @@ def train(model: Recognizer, split: DatasetSplit, cfg: TrainConfig,
                     continue
                 dist = forward_frames(model, clip.frames, training=True, rng=rng, name=f"clip {int(j)}")
                 report = combined_loss(dist, clip.target, cfg.mel_weight)
-                batch_info.append((int(j), clip, replace(report, node=None)))
+                batch_info.append((int(j), clip.target, clip.num_frames, clip.handedness, replace(report, node=None)))
                 if not math.isfinite(report.total):
                     raise _diverged(f"non-finite loss at epoch {epoch}, clip {int(j)}", batch_info, split, out)
                 epoch_losses.append(report.total)
@@ -218,7 +218,7 @@ def train(model: Recognizer, split: DatasetSplit, cfg: TrainConfig,
             if not batch_info:
                 continue
             if not math.isfinite(clip_grad_norm(opt.params)):
-                clips = ", ".join(str(idx) for idx, _, _ in batch_info)
+                clips = ", ".join(str(info[0]) for info in batch_info)
                 raise _diverged(f"non-finite gradient at epoch {epoch}, batch of clips {clips}", batch_info, split, out)
             opt.lr = cfg.lr * 0.5 * (1.0 + math.cos(math.pi * opt.t / total_steps))
             opt.step()
@@ -246,11 +246,10 @@ def _diverged(message: str, batch_info, split: DatasetSplit, out: Path | None) -
     """The divergence error for the batch so far, its dump written to
     ``out/diagnostic_dump.txt`` when there is an ``out``."""
     lines = ["offending batch:"]
-    for idx, clip, report in batch_info:
-        word = split.alphabet.decode(clip.target)
+    for idx, target, num_frames, handedness, report in batch_info:
         lines.append(
-            f"  clip {idx}: target={word!r} frames={clip.num_frames} "
-            f"handedness={clip.handedness} ctc={report.ctc!r} mel={report.mel!r}"
+            f"  clip {idx}: target={split.alphabet.decode(target)!r} frames={num_frames} "
+            f"handedness={handedness} ctc={report.ctc!r} mel={report.mel!r}"
         )
     dump = "\n".join(lines) + "\n"
     if out is not None:

@@ -190,6 +190,15 @@ class TestConv2dOracle:
         with pytest.raises(ValueError, match="too small"):
             ad.conv2d(np.zeros((3, 1, 2, 2)), wt, b)
 
+    def test_a_graph_is_walked_once(self):
+        # the vjp frees its columns, so a second backward through the node cannot run
+        x, wt, b = self.operands(2, 3, 2, 7, 5, seed=0)
+        out = ad.conv2d(Parameter(x.transpose(1, 0, 2, 3)), Parameter(wt), Parameter(b), stride=1, padding=1)
+        loss = out.sum()
+        backward(loss)
+        with pytest.raises(ValueError, match="conv2d's vjp already ran: backward walks a graph once"):
+            backward(loss)
+
 
 class TestOpGradients:
     @pytest.mark.parametrize("seed", range(6))

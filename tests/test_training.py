@@ -1,5 +1,6 @@
 import ctypes
 import resource
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -299,6 +300,46 @@ class TestPerClipBackward:
         train(Recognizer(SMALL_MODEL, seed=0), tiny_split, TrainConfig(epochs=1, batch_size=len(tiny_split.train)))
         assert len(alive) == len(tiny_split.train) >= 4
         assert max(alive) == 1  # each clip's graph is freed right after its backward
+
+    def test_backward_peak_stays_near_the_graph(self):
+        # each conv layer frees its im2col columns once its weight gradient is made, and builds its
+        # input gradient one tap at a time, so the backward adds little to the graph it walks
+        split = synthesize(1, 8, Alphabet(tuple("abcde")), GenConfig(frame_size=64, n_signers=5, min_letters=4))
+        clip = max(split.train, key=lambda c: c.num_frames)
+        model = Recognizer(ModelConfig(), seed=0)
+        tracemalloc.start()
+        try:
+            dist = forward_frames(model, clip.frames, training=True, rng=np.random.default_rng(0))
+            report = combined_loss(dist, clip.target, 0.1)
+            graph = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            backward(report.node)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert clip.num_frames >= 12
+        assert peak <= 1.15 * graph, (peak, graph)
+
+    def test_flipped_frames_die_before_the_next_forward(self, tiny_split, monkeypatch):
+        import ctcseq.training as tr
+
+        real_flip, real_forward, flipped, dead = tr.horizontal_flip, tr.forward_frames, [], []
+
+        def flip(clip):
+            out = real_flip(clip)
+            flipped.append(weakref.ref(out.frames))
+            return out
+
+        def forward(model, frames, **kwargs):
+            dead.append(all(ref() is None for ref in flipped[:-1]))
+            return real_forward(model, frames, **kwargs)
+
+        monkeypatch.setattr(tr, "horizontal_flip", flip)
+        monkeypatch.setattr(tr, "forward_frames", forward)
+        cfg = TrainConfig(epochs=1, batch_size=len(tiny_split.train), flip_prob=1.0)
+        train(Recognizer(SMALL_MODEL, seed=0), tiny_split, cfg)
+        assert len(flipped) == len(tiny_split.train) >= 4
+        assert all(dead)  # only the clip being run may still hold its flipped copy
 
     @pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="glibc's mallopt only")
     def test_warm_train_step_does_not_page_fault(self):

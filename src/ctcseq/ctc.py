@@ -113,11 +113,9 @@ def min_frames(target) -> int:
     return len(target) + sum(a == b for a, b in zip(target, target[1:]))
 
 
-def _extended_target(target: list[int], blank: int) -> list[int]:
-    ext = [blank]
-    for l in target:
-        ext.append(l)
-        ext.append(blank)
+def _extended_target(target: list[int], blank: int) -> np.ndarray:
+    ext = np.full(2 * len(target) + 1, blank)
+    ext[1::2] = target
     return ext
 
 
@@ -127,7 +125,6 @@ def _lattice(lp: np.ndarray, ext) -> np.ndarray:
     the backward variable is the same recursion run on reversed frames and
     the reversed extended target, flipped back.
     """
-    ext = np.asarray(ext)
     emit = lp[:, ext]
     # a skip over a blank is allowed unless it would merge a repeated letter
     skip = np.flatnonzero((ext[2:] != ext[0]) & (ext[2:] != ext[:-2])) + 2
@@ -160,17 +157,12 @@ def ctc_loss(dist: FrameDistributionSeq, target) -> CtcLossResult:
     target = validate_target(target, dist.blank_index)
     lp = dist.log_probs.data
     t_total, cprime = lp.shape
-    blank = cprime - 1
-    ext = _extended_target(target, blank)
-    s_total = len(ext)
+    ext = _extended_target(target, cprime - 1)
 
-    alpha = _lattice(lp, ext) + lp[:, ext]
-    if t_total == 0:  # the one alignment of no frames is the empty path, which carries only the empty target
-        log_p = 0.0 if s_total == 1 else NEG_INF
-    else:
-        log_p = alpha[-1, s_total - 1]
-        if s_total > 1:
-            log_p = np.logaddexp(log_p, alpha[-1, s_total - 2])
+    # one row past the last frame, never emitted: its final blank state holds
+    # the mass of both end states, and with no frames only the empty target's
+    mass = _lattice(np.vstack([lp, np.zeros(cprime)]), ext)
+    alpha, log_p = mass[:-1] + lp[:, ext], mass[-1, -1]
     if log_p == NEG_INF:  # no alignment has mass: the vjp below would be NaN
         return CtcLossResult(Tensor(float("inf")))
 

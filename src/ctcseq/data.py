@@ -9,6 +9,7 @@ reproducible and parallelizable per clip.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import struct
 from dataclasses import dataclass
@@ -34,8 +35,9 @@ BACKGROUND_NOISE = 0.02  # std of the per-pixel Gaussian noise
 POSITION_JITTER = 1.5  # bound of the per-clip drift in pixels per frame
 
 
-# each range rule a config key follows, worded as its error message words it
-_RANGES = {">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1,
+# each range rule a config key follows, worded as its error message words it; ">=" rules hold integers only
+_RANGES = {">= 0": lambda v: isinstance(v, numbers.Integral) and v >= 0,
+           ">= 1": lambda v: isinstance(v, numbers.Integral) and v >= 1,
            "in [0, 1]": lambda v: 0.0 <= v <= 1.0, "in [0, 1)": lambda v: 0.0 <= v < 1.0}
 
 
@@ -59,8 +61,7 @@ class GenConfig:
     words: tuple[str, ...] = ()
 
     def __post_init__(self):
-        # max_letters has no rule of its own: being >= min_letters, checked below, bounds it
-        check_ranges(self, {"frame_size": ">= 1", "min_letters": ">= 1", "n_signers": ">= 1",
+        check_ranges(self, {"frame_size": ">= 1", "min_letters": ">= 1", "max_letters": ">= 1", "n_signers": ">= 1",
                             "left_handed_rate": "in [0, 1]", "train_fraction": "in [0, 1)", "dev_fraction": "in [0, 1)"})
         if self.max_letters < self.min_letters:
             raise ValueError(f"max_letters must be >= min_letters: {self.max_letters} < {self.min_letters}")

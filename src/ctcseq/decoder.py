@@ -64,7 +64,8 @@ def beam_search(
     (1 - alpha) * s_b + alpha * P(letter | previous <= order letters),
     where s_b is the prefix's posterior mass normalized over the current
     candidate set; retention is otherwise identical. At finalization the
-    language model contributes its end-of-sequence probability once.
+    language model contributes its end-of-sequence probability once. A
+    language model with a letter outside ``alphabet`` is refused.
 
     A frame is a few array steps on a beams x (1 + letters) matrix: column
     0 keeps the prefix (blank, or its last letter again), column 1 + l
@@ -81,6 +82,10 @@ def beam_search(
         raise ValueError(f"beam width must be >= 1: {beam_width}")
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"language model weight must be in [0, 1]: {alpha}")
+    stray = sorted(set(lm.vocab) - {EOS} - set(alphabet.letters)) if lm is not None and alphabet is not None else []
+    if stray:
+        raise ValueError(f"language model letters {''.join(stray)!r} are not in the alphabet "
+                         f"{''.join(alphabet.letters)!r}")
     lm = lm if alpha > 0.0 else None
     blank, width = dist.blank_index, dist.blank_index + 1
     if lm is not None:
@@ -146,10 +151,6 @@ def beam_search(
             beam_rows = [beam_rows[f // width] if f % width == 0 else row(p) for _, p, f in kept]
         beams, pb, pnb = [p for _, p, _ in kept], b[cells], nb[cells]
 
-    return _finalize(beams, pb, pnb, lm, alpha, alphabet)
-
-
-def _finalize(beams, pb, pnb, lm, alpha: float, alphabet) -> list[BeamHypothesis]:
     totals = np.logaddexp(pb, pnb)
     scores = totals.tolist()
     if lm is not None:
@@ -189,9 +190,5 @@ def decode(dist, decoder: str, beam_width: int, lm: CharNGramModel | None, alpha
     if decoder == "beam-lm":
         if lm is None or alphabet is None:
             raise ValueError("beam-lm decoding requires a language model and alphabet")
-        stray = sorted(set(lm.vocab) - {EOS} - set(alphabet.letters))
-        if stray:
-            raise ValueError(f"language model letters {''.join(stray)!r} are not in the alphabet "
-                             f"{''.join(alphabet.letters)!r}")
         return lm_fused_beam_decode(dist, beam_width, lm, alpha, alphabet)
     raise ValueError(f"unknown decoder {decoder!r}")

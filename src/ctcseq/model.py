@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import struct
 import zlib
 from dataclasses import asdict, dataclass
@@ -55,10 +56,8 @@ class ModelConfig:
     def __post_init__(self):
         object.__setattr__(self, "feat_grid", tuple(self.feat_grid))
         object.__setattr__(self, "pooled_grid", tuple(self.pooled_grid))
-        sizes = (self.feat_channels, self.embed_dim, self.encoder_layers, self.heads, self.ffn_hidden,
-                 self.context_window, self.num_classes, *self.feat_grid, *self.pooled_grid)
-        if len(self.feat_grid) != 2 or len(self.pooled_grid) != 2 or not all(isinstance(v, int) for v in sizes):
-            raise ValueError("layer sizes, heads and windows must be integers, and each grid two of them")
+        if len(self.feat_grid) != 2 or len(self.pooled_grid) != 2:
+            raise ValueError(f"each grid must have two sides: {self.feat_grid}, {self.pooled_grid}")
         check_ranges(self, {"feat_channels": ">= 1", "feat_grid": ">= 1", "pooled_grid": ">= 1",
                             "embed_dim": ">= 1", "encoder_layers": ">= 0", "heads": ">= 1", "ffn_hidden": ">= 1",
                             "context_window": ">= 0", "num_classes": ">= 1"})
@@ -366,8 +365,7 @@ def motion_prior(frames: np.ndarray, grid: tuple[int, int]) -> np.ndarray:
     t, _, ph, pw = frames.shape
     gh, gw = grid
     diff = np.zeros((t, ph, pw))
-    if t > 1:
-        diff[1:] = np.abs(frames[1:] - frames[:-1]).sum(axis=1)
+    diff[1:] = np.abs(frames[1:] - frames[:-1]).sum(axis=1)
     small = pool_matrix(ph, gh) @ diff @ pool_matrix(pw, gw).T
     sums = small.sum(axis=(1, 2), keepdims=True)
     still = sums <= 1e-12
@@ -395,7 +393,7 @@ def save_checkpoint(model: Recognizer, path, alphabet: Alphabet, extra: dict | N
     }
     if extra:
         manifest["extra"] = extra
-    mbytes = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    mbytes = json.dumps(manifest, sort_keys=True, default=operator.index).encode("utf-8")  # numpy integer sizes too
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(path.suffix + ".tmp")

@@ -1,10 +1,13 @@
 import dataclasses
+import re
 
+import numpy as np
 import pytest
 
 from ctcseq.config import SECTIONS, default_config, load_config, save_config
+from ctcseq.ctc import Alphabet
 from ctcseq.data import GenConfig
-from ctcseq.model import ModelConfig
+from ctcseq.model import ModelConfig, Recognizer, load_checkpoint, save_checkpoint
 from ctcseq.training import TrainConfig
 
 # every settable key; a new knob, or a constant turned back into one, is an edit here
@@ -37,3 +40,24 @@ def test_save_then_load_gives_the_same_configs(tmp_path, configs):
     path = tmp_path / "echo.ini"
     save_config(configs, path)
     assert load_config(path) == configs
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: TrainConfig(epochs=2.5), "epochs must be >= 1: 2.5"),
+    (lambda: TrainConfig(batch_size=2.5), "batch_size must be >= 1: 2.5"),
+    (lambda: GenConfig(frame_size=32.5), "frame_size must be >= 1: 32.5"),
+    (lambda: GenConfig(n_signers=5.0), "n_signers must be >= 1: 5.0"),
+    (lambda: GenConfig(max_letters=4.0), "max_letters must be >= 1: 4.0"),
+    (lambda: ModelConfig(feat_grid=(8, 8.0)), "feat_grid must be >= 1: (8, 8.0)"),
+], ids=["epochs", "batch_size", "frame_size", "n_signers", "max_letters", "feat_grid"])
+def test_integer_keys_refuse_a_float(make, message):
+    # a float size would construct, then fail deep inside train() or synthesize()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
+
+
+def test_integer_keys_take_numpy_integers(tmp_path):
+    assert TrainConfig(seed=np.int64(3)).seed == 3
+    cfg = ModelConfig(feat_grid=(np.int32(6), 5), heads=np.int64(2))
+    save_checkpoint(Recognizer(cfg, seed=0), tmp_path / "np.ckpt", Alphabet(tuple("abcde")))
+    assert load_checkpoint(tmp_path / "np.ckpt")[0].cfg == cfg

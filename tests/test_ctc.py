@@ -155,6 +155,11 @@ class TestCtcLoss:
         probs = random_dist(np.random.default_rng(seed), t, 27)
         assert math.isinf(ctc_loss(dist_of(probs), target).loss.item()) == (t < min_frames(target))
 
+    def test_zero_frames_carry_only_the_empty_target(self):
+        dist = dist_of(np.zeros((0, 3)))
+        assert ctc_loss(dist, []).loss.item() == 0.0
+        assert ctc_loss(dist, [0]).loss.item() == float("inf")
+
     def test_one_hot_single_frame_zero_loss(self):
         probs = np.array([[1.0, 0.0, 0.0]])
         res = ctc_loss(dist_of(probs), [0])

@@ -164,8 +164,15 @@ class TestLmFusion:
     def test_decode_rejects_lm_letters_outside_the_alphabet(self):
         dist = dist_of(np.full((3, 4), 0.25))
         alphabet = Alphabet(("a", "b", "c"))
+        foreign = lm_train(["abx", "zc"], order=2)
         with pytest.raises(ValueError, match="'xz'"):
-            decode(dist, "beam-lm", 4, lm_train(["abx", "zc"], order=2), 0.2, alphabet)
+            decode(dist, "beam-lm", 4, foreign, 0.2, alphabet)
+        # every fused path refuses it, also with the language model weighted 0
+        for search in (lambda a: beam_search(dist, 4, lm=foreign, alpha=a, alphabet=alphabet),
+                       lambda a: lm_fused_beam_decode(dist, 4, foreign, a, alphabet)):
+            for a in (0.0, 0.2):
+                with pytest.raises(ValueError, match="'xz'"):
+                    search(a)
         # a model that has seen only some of the letters is fine
         lm = lm_train(["ab"], order=2)
         assert decode(dist, "beam-lm", 4, lm, 0.2, alphabet) == lm_fused_beam_decode(dist, 4, lm, 0.2, alphabet)

@@ -363,8 +363,10 @@ class TestFullModel:
 
 
 class TestMotionPrior:
-    def test_static_video_uniform(self):
-        frames = np.full((4, 3, 12, 12), 0.5)
+    @pytest.mark.parametrize("t", [4, 1])
+    def test_static_video_uniform(self, t):
+        # a one-frame clip has no motion either
+        frames = np.full((t, 3, 12, 12), 0.5)
         priors = motion_prior(frames, (3, 3))
         assert np.allclose(priors, 1 / 9, atol=1e-12)
 

@@ -259,8 +259,6 @@ def transpose(a, axes=None) -> Tensor:
 
 def matmul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim < 2 or b.ndim < 2:
-        raise ValueError(f"matmul requires 2-D or batched operands: {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
     out_data = np.matmul(a.data, b.data)
@@ -275,8 +273,6 @@ def matmul(a, b) -> Tensor:
 
 def dropout(x, p: float, rng: np.random.Generator) -> Tensor:
     """Inverted dropout; call only in training mode."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1): {p}")
     return mul(x, (rng.random(x.shape) >= p) / (1.0 - p))
 
 
@@ -400,9 +396,7 @@ def backward(t: Tensor, grad=None) -> None:
 
     grads: dict[int, np.ndarray] = {id(t): np.asarray(grad, dtype=np.float64)}
     for node in reversed(topo):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
+        g = grads.pop(id(node))
         if node._vjp is None:
             if node.grad is None:
                 node.grad = np.zeros_like(node.data)

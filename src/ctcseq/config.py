@@ -53,11 +53,10 @@ def load_config(path) -> dict:
     for section, cls in SECTIONS.items():
         # annotations are strings under `from __future__ import annotations`
         types = typing.get_type_hints(cls)
-        names = {f.name for f in dataclasses.fields(cls)}
         kwargs = {}
         if parser.has_section(section):
             for key, raw in parser.items(section):
-                if key not in names:
+                if key not in types:
                     raise ValueError(f"unknown config key [{section}] {key}")
                 try:
                     kwargs[key] = _parse_value(raw, types[key])

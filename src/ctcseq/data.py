@@ -36,8 +36,7 @@ POSITION_JITTER = 1.5  # bound of the per-clip drift in pixels per frame
 
 
 # each range rule a config key follows, worded as its error message words it; ">=" rules hold integers only
-_RANGES = {">= 0": lambda v: isinstance(v, numbers.Integral) and v >= 0,
-           ">= 1": lambda v: isinstance(v, numbers.Integral) and v >= 1,
+_RANGES = {">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1, "positive and finite": lambda v: 0.0 < v < math.inf,
            "in [0, 1]": lambda v: 0.0 <= v <= 1.0, "in [0, 1)": lambda v: 0.0 <= v < 1.0}
 
 
@@ -45,7 +44,10 @@ def check_ranges(cfg, rules: dict[str, str]) -> None:
     """Raise a ValueError naming the first key of ``cfg`` whose value, or either side of a grid, breaks its rule."""
     for key, rule in rules.items():
         value = getattr(cfg, key)
-        if not all(map(_RANGES[rule], value if isinstance(value, tuple) else (value,))):
+        values = value if isinstance(value, tuple) else (value,)
+        if rule.startswith(">=") and not all(isinstance(v, numbers.Integral) for v in values):
+            raise ValueError(f"{key} must be an integer: {value}")
+        if not all(map(_RANGES[rule], values)):
             raise ValueError(f"{key} must be {rule}: {value}")
 
 
@@ -166,14 +168,9 @@ def _render_clip(seed: int, clip_index: int, target: tuple[int, ...], signer_id:
         jx = float(rng.uniform(-1.0, 1.0))
         jy = float(rng.uniform(-1.0, 1.0))
         px, py = int(round(x + jx)), int(round(y + jy))
-        block_a, tint_a = glyphs[a]
-        if b is None:
-            _paste(canvas, block_a, tint_a, px, py, profile["contrast"])
-        else:
-            block_b, tint_b = glyphs[b]
-            step = scale  # transition frames smear across a larger move
-            _paste(canvas, block_a, tint_a, px, py, 0.5 * profile["contrast"])
-            _paste(canvas, block_b, tint_b, px + step, py, 0.5 * profile["contrast"])
+        _paste(canvas, *glyphs[a], px, py, profile["contrast"] if b is None else 0.5 * profile["contrast"])
+        if b is not None:  # transition frames smear across a larger move
+            _paste(canvas, *glyphs[b], px + scale, py, 0.5 * profile["contrast"])
         x += dx
         y += dy
     np.clip(frames, 0.0, 1.0, out=frames)
@@ -203,8 +200,7 @@ def synthesize(seed: int, n_clips: int, alphabet: Alphabet, cfg: GenConfig | Non
 
     n_train = int(round(cfg.train_fraction * n_clips))
     n_dev = int(round(cfg.dev_fraction * n_clips))
-    n_test = n_clips - n_train - n_dev
-    counts = {"train": n_train, "dev": n_dev, "test": max(n_test, 0)}
+    counts = {"train": n_train, "dev": n_dev, "test": n_clips - n_train - n_dev}
 
     # signers are assigned to partitions up front; too few and dev and test share the last one
     signer_ids = range(cfg.n_signers)
@@ -311,12 +307,12 @@ def read_tensor(path) -> np.ndarray:
 
 
 def read_clip(path) -> np.ndarray:
-    """``read_tensor`` of a clip: (T >= 1, 3, H, W) finite frames."""
+    """``read_tensor`` of a clip: (T >= 1, 3, H, W) frames with values in [0, 1]."""
     frames = read_tensor(path)
     if frames.ndim != 4 or frames.shape[0] < 1 or frames.shape[1] != 3:
         raise ValueError(f"clip {path} has shape {frames.shape}, not (T >= 1, 3, H, W)")
-    if not np.isfinite(frames).all():
-        raise ValueError(f"clip {path} holds non-finite values")
+    if not ((frames >= 0) & (frames <= 1)).all():  # NaN fails both comparisons
+        raise ValueError(f"clip {path} holds values outside [0, 1]")
     return frames
 
 

@@ -40,7 +40,6 @@ class CharNGramModel:
             symbols.update(nexts)
         symbols.discard(EOS)
         self.vocab = tuple(sorted(symbols)) + (EOS,)
-        self._totals = {ctx: sum(nexts.values()) for ctx, nexts in self.counts.items()}
         self._rows: dict[tuple, np.ndarray] = {}  # cond_probs by (symbols, backed-off context)
 
     def _backoff_context(self, context: str) -> str:
@@ -63,9 +62,9 @@ class CharNGramModel:
         ctx = self._backoff_context(context)
         key = (tuple(symbols), ctx)
         if key not in self._rows:
-            nexts, total = self.counts.get(ctx, {}), self._totals.get(ctx, 0)
+            nexts = self.counts.get(ctx, {})
             count = np.array([nexts.get(s, 0) for s in key[0]], dtype=np.float64)
-            row = (count + self.smoothing_alpha) / (total + self.smoothing_alpha * len(self.vocab))
+            row = (count + self.smoothing_alpha) / (sum(nexts.values()) + self.smoothing_alpha * len(self.vocab))
             row.flags.writeable = False
             self._rows[key] = row
         return self._rows[key]

@@ -291,17 +291,13 @@ class Recognizer(Module):
 
     # -- pieces -----------------------------------------------------------
 
-    def blend_weight(self) -> Tensor:
-        """The prior mixing weight squashed into [0, 1]."""
-        return ad.sigmoid(self.blend_raw)
-
     def blend_with_prior(self, refined: Tensor, priors: np.ndarray) -> Tensor:
         t, h, w = refined.shape
         sums = priors.reshape(t, -1).sum(axis=1)
         if not np.allclose(sums, 1.0, atol=1e-6):
             raise ValueError("each prior map must be normalized to sum 1")
         att = ad.softmax(ad.reshape(refined, (t, h * w)), axis=-1)
-        wp = self.blend_weight()
+        wp = ad.sigmoid(self.blend_raw)  # the prior mixing weight squashed into [0, 1]
         blended = wp * Tensor(priors.reshape(t, h * w)) + (1.0 - wp) * att
         return ad.reshape(blended, (t, h, w))
 

@@ -51,10 +51,9 @@ class TrainConfig:
     batch_size: int = 8
 
     def __post_init__(self):
-        if not 0.0 < self.lr < math.inf:
-            raise ValueError(f"lr must be positive and finite: {self.lr}")
-        check_ranges(self, {"epochs": ">= 1", "mel_weight": "in [0, 1]", "flip_prob": "in [0, 1]", "beam_width": ">= 1",
-                            "lm_alpha": "in [0, 1]", "lm_order": ">= 1", "seed": ">= 0", "batch_size": ">= 1"})
+        check_ranges(self, {"lr": "positive and finite", "epochs": ">= 1", "mel_weight": "in [0, 1]",
+                            "flip_prob": "in [0, 1]", "beam_width": ">= 1", "lm_alpha": "in [0, 1]", "lm_order": ">= 1",
+                            "seed": ">= 0", "batch_size": ">= 1"})
 
 
 class AdamW:
@@ -187,8 +186,6 @@ def train(model: Recognizer, split: DatasetSplit, cfg: TrainConfig,
     total_steps = cfg.epochs * math.ceil(len(split.train) / cfg.batch_size)
 
     records: list[EpochRecord] = []
-    best_acc = -1.0
-    best_epoch = -1
     skipped = 0
     for epoch in range(1, cfg.epochs + 1):
         rng = np.random.default_rng([cfg.seed, epoch])
@@ -228,18 +225,16 @@ def train(model: Recognizer, split: DatasetSplit, cfg: TrainConfig,
         dev_report = evaluate(model, split.dev, decoder="greedy", prefix="dev")
         acc = dev_report.mean_letter_accuracy
         records.append(EpochRecord(epoch, train_loss, acc))
-        if acc > best_acc:
-            best_acc = acc
-            best_epoch = epoch
-            if out is not None:
-                save_checkpoint(model, out / "best.ckpt", split.alphabet, extra={"epoch": epoch, "dev_acc": acc})
+        best = max(records, key=lambda r: r.dev_acc_greedy)  # the first epoch of the best accuracy
         if out is not None:
+            if best is records[-1]:
+                save_checkpoint(model, out / "best.ckpt", split.alphabet, extra={"epoch": epoch, "dev_acc": acc})
             (out / "epoch.log").write_text(
                 "".join(f"{r.epoch}\t{r.train_loss:.10f}\t{r.dev_acc_greedy:.6f}\n" for r in records),
                 encoding="utf-8",
             )
-    return TrainResult(model=model, log=records, best_dev_acc=best_acc,
-                       best_epoch=best_epoch, skipped_clips=skipped)
+    return TrainResult(model=model, log=records, best_dev_acc=best.dev_acc_greedy,
+                       best_epoch=best.epoch, skipped_clips=skipped)
 
 
 def _diverged(message: str, batch_info, split: DatasetSplit, out: Path | None) -> TrainingDiverged:

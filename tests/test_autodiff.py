@@ -105,6 +105,14 @@ class TestBackward:
         w.zero_grad()
         assert w.grad is None
 
+    def test_loss_without_a_graph_changes_no_gradient(self):
+        w = Parameter(np.ones(3))
+        backward((w * 2.0).sum())
+        with ad.no_grad():
+            out = (w * w).sum()
+        backward(out)
+        assert np.array_equal(w.grad, np.full(3, 2.0))
+
     def test_non_scalar_rejected(self):
         w = Parameter(np.zeros(3))
         with pytest.raises(ValueError):

@@ -231,8 +231,9 @@ class TestErrors:
         write_tensor(clip, np.random.default_rng(0).random((4, 3, 16, 16)))
         return ["decode", "--ckpt", str(ckpt), "--clip", str(clip)]
 
-    @pytest.mark.parametrize("shape, fill", [((4, 16, 16), 0.5), ((0, 3, 16, 16), 0.5), ((4, 3, 16, 16), float("nan"))],
-                             ids=["rank-3", "zero-frames", "all-nan"])
+    @pytest.mark.parametrize("shape, fill", [((4, 16, 16), 0.5), ((0, 3, 16, 16), 0.5), ((4, 3, 16, 16), float("nan")),
+                                             ((4, 3, 16, 16), 255.0), ((4, 3, 16, 16), -1.0)],
+                             ids=["rank-3", "zero-frames", "all-nan", "above-1", "below-0"])
     def test_decode_rejects_malformed_clip_naming_the_file(self, decode_files, shape, fill, capsys):
         import numpy as np
 
@@ -245,8 +246,9 @@ class TestErrors:
         assert "clip.tnsr" in err
 
     @pytest.mark.parametrize("command", ["train", "eval"])
-    @pytest.mark.parametrize("shape, fill", [((4, 32, 32), 0.5), ((0, 3, 32, 32), 0.5), ((4, 3, 32, 32), float("nan"))],
-                             ids=["rank-3", "zero-frames", "all-nan"])
+    @pytest.mark.parametrize("shape, fill", [((4, 32, 32), 0.5), ((0, 3, 32, 32), 0.5), ((4, 3, 32, 32), float("nan")),
+                                             ((4, 3, 32, 32), 255.0), ((4, 3, 32, 32), -1.0)],
+                             ids=["rank-3", "zero-frames", "all-nan", "above-1", "below-0"])
     def test_dataset_with_malformed_clip_names_index_line_and_file(self, decode_files, cfg_file, tmp_path, capsys,
                                                                    command, shape, fill):
         import numpy as np
@@ -353,6 +355,22 @@ class TestErrors:
         out, err = capsys.readouterr()
         assert out == "" and err == "error: cannot train: the dev partition is empty (2 train clips, 0 dev clips)\n"
         assert not (run / "best.ckpt").exists()
+
+    def test_synth_with_one_letter_alphabet_is_one_error_line(self, tmp_path, capsys):
+        assert main(["synth", "--n-clips", "4", "--out", str(tmp_path / "d"), "--alphabet", "a"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: synthesis needs an alphabet of at least 2 letters\n"
+        assert not (tmp_path / "d").exists()
+
+    def test_eval_on_empty_partition_is_one_error_line(self, decode_files, tmp_path, capsys):
+        from ctcseq.data import GenConfig, save_dataset, synthesize
+
+        data = tmp_path / "data"
+        save_dataset(synthesize(0, 6, ABCDE, GenConfig(frame_size=16)), data)
+        (data / "test.index").write_text("")
+        assert main(["eval", "--ckpt", decode_files[2], "--data", str(data), "--split", "test"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: no clips in partition 'test'\n"
 
     def test_malformed_seed_variable_is_named(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CTCSEQ_SEED", "abc")
@@ -507,6 +525,7 @@ class TestErrors:
         ("train", "lr = inf", "lr must be positive and finite: inf"),
         ("data", "train_fraction = -0.5\ndev_fraction = 0.9", "train_fraction must be in [0, 1): -0.5"),
         ("data", "train_fraction = 0.5\ndev_fraction = -0.2", "dev_fraction must be in [0, 1): -0.2"),
+        ("data", "train_fraction = 0.6\ndev_fraction = 0.4", "train_fraction + dev_fraction must be in (0, 1)"),
     ])
     def test_bad_config_is_one_error_line(self, tmp_path, capsys, section, line, message):
         cfg = tmp_path / "bad.ini"

@@ -43,12 +43,12 @@ def test_save_then_load_gives_the_same_configs(tmp_path, configs):
 
 
 @pytest.mark.parametrize("make, message", [
-    (lambda: TrainConfig(epochs=2.5), "epochs must be >= 1: 2.5"),
-    (lambda: TrainConfig(batch_size=2.5), "batch_size must be >= 1: 2.5"),
-    (lambda: GenConfig(frame_size=32.5), "frame_size must be >= 1: 32.5"),
-    (lambda: GenConfig(n_signers=5.0), "n_signers must be >= 1: 5.0"),
-    (lambda: GenConfig(max_letters=4.0), "max_letters must be >= 1: 4.0"),
-    (lambda: ModelConfig(feat_grid=(8, 8.0)), "feat_grid must be >= 1: (8, 8.0)"),
+    (lambda: TrainConfig(epochs=2.5), "epochs must be an integer: 2.5"),
+    (lambda: TrainConfig(batch_size=2.5), "batch_size must be an integer: 2.5"),
+    (lambda: GenConfig(frame_size=32.5), "frame_size must be an integer: 32.5"),
+    (lambda: GenConfig(n_signers=5.0), "n_signers must be an integer: 5.0"),
+    (lambda: GenConfig(max_letters=4.0), "max_letters must be an integer: 4.0"),
+    (lambda: ModelConfig(feat_grid=(8, 8.0)), "feat_grid must be an integer: (8, 8.0)"),
 ], ids=["epochs", "batch_size", "frame_size", "n_signers", "max_letters", "feat_grid"])
 def test_integer_keys_refuse_a_float(make, message):
     # a float size would construct, then fail deep inside train() or synthesize()

@@ -220,6 +220,14 @@ class TestContainers:
         with pytest.raises(ValueError, match="odd.tnsr"):
             read_tensor(path)
 
+    @pytest.mark.parametrize("version, tag, message", [(2, b"f64\x00", "unsupported tensor container version 2"),
+                                                       (1, b"f32\x00", "unsupported dtype tag")], ids=["version", "dtype"])
+    def test_unknown_version_or_dtype_rejected_naming_the_file(self, tmp_path, version, tag, message):
+        path = tmp_path / "odd.tnsr"
+        path.write_bytes(b"CTSQTENS" + struct.pack("<I", version) + tag + struct.pack("<IQ", 1, 0))
+        with pytest.raises(ValueError, match=rf"{message} in .*odd\.tnsr"):
+            read_tensor(path)
+
     @settings(max_examples=300, deadline=None)
     @given(edits=CORRUPTIONS)
     def test_corrupted_bytes_end_in_a_named_error_or_an_array(self, tensor_bytes, tmp_path_factory, edits):

@@ -178,6 +178,11 @@ class TestLmFusion:
         assert decode(dist, "beam-lm", 4, lm, 0.2, alphabet) == lm_fused_beam_decode(dist, 4, lm, 0.2, alphabet)
 
 
+def test_decode_rejects_an_unknown_decoder_naming_it():
+    with pytest.raises(ValueError, match="unknown decoder 'viterbi'"):
+        decode(dist_of(np.full((3, 4), 0.25)), "viterbi", 4, None, 0.2, None)
+
+
 def test_decode_reaches_the_names_the_benchmark_patches(monkeypatch):
     """The benchmark checks and times decoding by replacing ``greedy_decode``,
     ``beam_decode`` and ``lm_fused_beam_decode`` on the ``decoder`` module,

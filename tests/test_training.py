@@ -169,6 +169,17 @@ class TestTrainLoop:
         assert result.skipped_clips == 1
         assert len(forwards) == 3 + len(split2.dev)  # no forward for the clip that cannot fit
 
+    def test_all_infeasible_clips_take_no_step(self, tiny_split):
+        # even a zero-gradient AdamW step would decay the weights, so no batch may step
+        bad = [replace(clip, frames=clip.frames[:2].copy(), target=(0, 0, 1, 1, 2, 2)) for clip in tiny_split.train[:3]]
+        split = replace(tiny_split, train=bad)
+        model = Recognizer(SMALL_MODEL, seed=0)
+        before = {n: p.data.copy() for n, p in model.named_parameters().items()}
+        result = train(model, split, TrainConfig(epochs=2, seed=0, batch_size=2))
+        assert all(np.array_equal(p.data, before[n]) for n, p in model.named_parameters().items())
+        assert result.skipped_clips == 2 * len(bad)
+        assert [r.train_loss for r in result.log] == [float("inf")] * 2
+
     def test_nan_loss_aborts_with_dump(self, tiny_split, tmp_path, monkeypatch):
         import ctcseq.training as tr
 

@@ -201,8 +201,8 @@ def log(a) -> Tensor:
 
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    x = a.data
-    out_data = np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(a.data))
+    out_data = np.where(a.data >= 0.0, 1.0, e) / (1.0 + e)
 
     def vjp(g):
         return (g * out_data * (1.0 - out_data),)
@@ -284,9 +284,9 @@ def logsumexp(a, axis: int = -1) -> Tensor:
     """Stable log-sum-exp along an axis, kept with length 1, differentiable
     (grad = softmax)."""
     a = as_tensor(a)
-    m = np.max(a.data, axis=axis, keepdims=True)
-    shifted = sub(a, Tensor(m))
-    return add(log(sum_(exp(shifted), axis=axis, keepdims=True)), Tensor(m))
+    m = Tensor(np.max(a.data, axis=axis, keepdims=True))
+    shifted = sub(a, m)
+    return add(log(sum_(exp(shifted), axis=axis, keepdims=True)), m)
 
 
 def softmax(logits, axis: int = -1) -> Tensor:

@@ -75,10 +75,6 @@ class FrameDistributionSeq:
             raise ValueError("each frame distribution row must sum to 1 (logsumexp 0)")
 
     @property
-    def num_frames(self) -> int:
-        return self.log_probs.shape[0]
-
-    @property
     def num_classes(self) -> int:
         return self.log_probs.shape[1]
 

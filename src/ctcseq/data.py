@@ -205,13 +205,9 @@ def synthesize(seed: int, n_clips: int, alphabet: Alphabet, cfg: GenConfig | Non
     # signers are assigned to partitions up front; too few and dev and test share the last one
     signer_ids = range(cfg.n_signers)
     s_train = max(1, int(round(cfg.train_fraction * cfg.n_signers)))
-    s_dev = max(1, int(round(cfg.dev_fraction * cfg.n_signers)))
-    s_dev = min(s_dev, cfg.n_signers - s_train - 1) if cfg.n_signers - s_train > 1 else 1
-    partition_signers = {
-        "train": signer_ids[:s_train],
-        "dev": signer_ids[s_train : s_train + s_dev] or signer_ids[-1:],
-        "test": signer_ids[s_train + s_dev :] or signer_ids[-1:],
-    }
+    cut = min(s_train + max(1, int(round(cfg.dev_fraction * cfg.n_signers))), cfg.n_signers - 1)
+    partition_signers = {"train": signer_ids[:s_train], "dev": signer_ids[s_train:cut] or signer_ids[-1:],
+                         "test": signer_ids[cut:]}
 
     partitions: dict[str, list[SyntheticClip]] = {"train": [], "dev": [], "test": []}
     clip_index = 0
@@ -224,12 +220,7 @@ def synthesize(seed: int, n_clips: int, alphabet: Alphabet, cfg: GenConfig | Non
             clip = SyntheticClip(_render_clip(seed, clip_index, target, signer, cfg), target, signer, "right")
             partitions[name].append(horizontal_flip(clip) if left else clip)
             clip_index += 1
-    return DatasetSplit(
-        train=partitions["train"],
-        dev=partitions["dev"],
-        test=partitions["test"],
-        alphabet=alphabet,
-    )
+    return DatasetSplit(**partitions, alphabet=alphabet)
 
 
 def horizontal_flip(clip: SyntheticClip) -> SyntheticClip:
@@ -372,4 +363,4 @@ def load_dataset(data_dir) -> DatasetSplit:
                 except (ValueError, OSError) as exc:
                     raise ValueError(f"{index} line {number}: {exc}") from None
         parts[name] = clips
-    return DatasetSplit(parts["train"], parts["dev"], parts["test"], alphabet)
+    return DatasetSplit(**parts, alphabet=alphabet)

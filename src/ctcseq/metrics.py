@@ -71,8 +71,10 @@ class EvalReport:
 
 
 def evaluate_clips(results: list[tuple[str, list, list]]) -> EvalReport:
-    """Build an EvalReport from (clip_id, predicted, reference) triples; an
-    empty reference, where letter accuracy is undefined, is refused."""
+    """Build an EvalReport from (clip_id, predicted, reference) triples; no
+    triples, or an empty reference, where letter accuracy is undefined, are refused."""
+    if not results:
+        raise ValueError("letter accuracy is undefined for an empty set of clips")
     per_clip = []
     for clip_id, pred, truth in results:
         n = len(truth)
@@ -81,8 +83,8 @@ def evaluate_clips(results: list[tuple[str, list, list]]) -> EvalReport:
         s, d, i = edit_alignment(pred, truth)
         per_clip.append((clip_id, max(0.0, 1.0 - (s + d + i) / n), s, d, i, n))
     tot_s, tot_d, tot_i, tot_n = (sum(row[k] for row in per_clip) for k in range(2, 6))
-    mean_acc = sum(row[1] for row in per_clip) / len(per_clip) if per_clip else 0.0
-    pooled = max(0.0, 1.0 - (tot_s + tot_d + tot_i) / tot_n) if tot_n else 0.0
+    mean_acc = sum(row[1] for row in per_clip) / len(per_clip)
+    pooled = max(0.0, 1.0 - (tot_s + tot_d + tot_i) / tot_n)
     return EvalReport(
         per_clip=per_clip,
         mean_letter_accuracy=mean_acc,

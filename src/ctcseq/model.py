@@ -326,7 +326,7 @@ class Recognizer(Module):
         """
         if training and rng is None:
             raise ValueError("training mode requires an rng for dropout")
-        x = Tensor(np.asarray(frames, dtype=np.float64))
+        x = Tensor(frames)
 
         features = self.extractor(x)
         raw = self.spatial(features)

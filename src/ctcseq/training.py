@@ -195,7 +195,7 @@ def train(model: Recognizer, split: DatasetSplit, cfg: TrainConfig,
             batch_idx = order[start : start + cfg.batch_size]
             batch = [split.train[int(j)] for j in batch_idx]
             fits = [clip.num_frames >= min_frames(clip.target) for clip in batch]  # the batch mean is over these
-            batch_info = []
+            dump = []
             for j, clip, fit in zip(batch_idx, batch, fits):
                 if rng.random() < cfg.flip_prob:
                     clip = horizontal_flip(clip)
@@ -205,18 +205,19 @@ def train(model: Recognizer, split: DatasetSplit, cfg: TrainConfig,
                     continue
                 dist = forward_frames(model, clip.frames, training=True, rng=rng, name=f"clip {int(j)}")
                 report = combined_loss(dist, clip.target, cfg.mel_weight)
-                batch_info.append((int(j), clip.target, clip.num_frames, clip.handedness, replace(report, node=None)))
+                dump.append(f"  clip {j}: target={split.alphabet.decode(clip.target)!r} frames={clip.num_frames} "
+                            f"handedness={clip.handedness} ctc={report.ctc!r} mel={report.mel!r}")
                 if not math.isfinite(report.total):
-                    raise _diverged(f"non-finite loss at epoch {epoch}, clip {int(j)}", batch_info, split, out)
+                    raise _diverged(f"non-finite loss at epoch {epoch}, clip {j}", dump, out)
                 epoch_losses.append(report.total)
                 with np.errstate(over="ignore", invalid="ignore"):  # the norm check below reports these
                     backward(report.node, np.asarray(1.0 / sum(fits)))
                 del dist, report  # free this clip's graph before the next forward
-            if not batch_info:
+            if not any(fits):
                 continue
             if not math.isfinite(clip_grad_norm(opt.params)):
-                clips = ", ".join(str(info[0]) for info in batch_info)
-                raise _diverged(f"non-finite gradient at epoch {epoch}, batch of clips {clips}", batch_info, split, out)
+                clips = ", ".join(str(j) for j, fit in zip(batch_idx, fits) if fit)
+                raise _diverged(f"non-finite gradient at epoch {epoch}, batch of clips {clips}", dump, out)
             opt.lr = cfg.lr * 0.5 * (1.0 + math.cos(math.pi * opt.t / total_steps))
             opt.step()
             opt.zero_grad()
@@ -237,16 +238,10 @@ def train(model: Recognizer, split: DatasetSplit, cfg: TrainConfig,
                        best_epoch=best.epoch, skipped_clips=skipped)
 
 
-def _diverged(message: str, batch_info, split: DatasetSplit, out: Path | None) -> TrainingDiverged:
-    """The divergence error for the batch so far, its dump written to
-    ``out/diagnostic_dump.txt`` when there is an ``out``."""
-    lines = ["offending batch:"]
-    for idx, target, num_frames, handedness, report in batch_info:
-        lines.append(
-            f"  clip {idx}: target={split.alphabet.decode(target)!r} frames={num_frames} "
-            f"handedness={handedness} ctc={report.ctc!r} mel={report.mel!r}"
-        )
-    dump = "\n".join(lines) + "\n"
+def _diverged(message: str, lines: list[str], out: Path | None) -> TrainingDiverged:
+    """The divergence error for the batch so far, one dump line per clip,
+    written to ``out/diagnostic_dump.txt`` when there is an ``out``."""
+    dump = "\n".join(["offending batch:", *lines]) + "\n"
     if out is not None:
         (out / "diagnostic_dump.txt").write_text(dump, encoding="utf-8")
         message += f"; diagnostic dump in {out / 'diagnostic_dump.txt'}"

@@ -73,7 +73,7 @@ def reference_beam_search(
     blank = dist.blank_index
 
     beams: dict[tuple[int, ...], tuple[float, float]] = {(): (0.0, NEG_INF)}
-    for t in range(dist.num_frames):
+    for t in range(dist.log_probs.shape[0]):
         candidates = expand_step(beams, logp[t], blank)
         scored = score_candidates(candidates, lm, alpha, alphabet)
         scored.sort(key=lambda item: (-item[0], item[1]))

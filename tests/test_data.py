@@ -69,6 +69,24 @@ class TestSynthesize:
         assert split.signer_disjoint is disjoint
         assert bool(shared) is not disjoint
 
+    @pytest.mark.parametrize("n_signers, fractions, train, dev, test", [
+        (1, (0.70, 0.15), [0], [0], [0]),
+        (2, (0.70, 0.15), [0], [1], [1]),
+        (3, (0.70, 0.15), [0, 1], [2], [2]),
+        (4, (0.70, 0.15), [0, 1, 2], [3], [3]),
+        (5, (0.70, 0.15), [0, 1, 2, 3], [4], [4]),
+        (6, (0.70, 0.15), [0, 1, 2, 3], [4], [5]),
+        (12, (0.70, 0.15), list(range(8)), [8, 9], [10, 11]),
+        (12, (0.75, 0.15), list(range(9)), [9, 10], [11]),
+    ], ids=["n1", "n2", "n3", "n4", "n5", "n6", "n12", "n12-0.75-0.15"])
+    def test_partition_signers(self, n_signers, fractions, train, dev, test):
+        """Train takes round(train_fraction * n) signers, dev the next round(dev_fraction * n) but
+        never the last, test the rest; dev takes the last signer when none is left."""
+        cfg = GenConfig(frame_size=8, n_signers=n_signers, train_fraction=fractions[0], dev_fraction=fractions[1])
+        split = synthesize(0, 120, ALPHABET, cfg)
+        seen = {name: sorted({c.signer_id for c in clips}) for name, clips in split.partitions().items()}
+        assert seen == {"train": train, "dev": dev, "test": test}
+
     def test_one_signer_fills_every_partition(self):
         split = synthesize(3, 12, ALPHABET, small_cfg(n_signers=1))
         assert [len(c) for c in split.partitions().values()] == [8, 2, 2]

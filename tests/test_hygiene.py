@@ -1,5 +1,6 @@
 """Source hygiene: no unused top-level import in the package, the tests or
-the scripts, and no package definition that nothing names."""
+the scripts, no package definition that nothing names, and no text I/O in
+the package or the scripts that leaves its encoding to the locale."""
 import ast
 import re
 from collections import Counter
@@ -91,3 +92,40 @@ def test_every_package_definition_is_named_somewhere_else():
     package = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE}
     callers = [path.read_text(encoding="utf-8") for path in CALLERS]
     assert unnamed_definitions(package, callers) == []
+
+
+def unnamed_encodings(source: str) -> list[str]:
+    """``line N: name`` for each text-mode ``open``, ``read_text`` or
+    ``write_text`` call that passes no ``encoding=`` (PEP 597); an ``open``
+    whose mode holds "b" is binary and exempt."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name not in ("open", "read_text", "write_text"):
+            continue
+        keywords = {kw.arg: kw.value for kw in node.keywords}
+        if name == "open":
+            # builtin open(path, mode) or Path.open(mode)
+            modes = node.args[1:2] if isinstance(func, ast.Name) else node.args[:1]
+            mode = keywords.get("mode", modes[0] if modes else None)
+            if isinstance(mode, ast.Constant) and "b" in str(mode.value):
+                continue
+        if "encoding" not in keywords:
+            found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+def test_encoding_detector():
+    source = ('open(p)\nopen(p, "rb")\nopen(p, mode="w")\nopen(p, "w", encoding="utf-8")\n'
+              'p.open("wb")\np.open()\np.read_text()\np.write_text(s, encoding="utf-8")\np.read_bytes()\n')
+    assert unnamed_encodings(source) == ["line 1: open", "line 3: open", "line 6: open", "line 7: read_text"]
+
+
+# tests/ is left out: its test code still reads and writes text in the locale's encoding
+@pytest.mark.parametrize("path", [p for p in FILES if p.parent.name != "tests"],
+                         ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_text_io_names_its_encoding(path):
+    assert unnamed_encodings(path.read_text(encoding="utf-8")) == []

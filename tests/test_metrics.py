@@ -3,6 +3,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ctcseq.metrics import edit_alignment, evaluate_clips, letter_accuracy
+from ctcseq.model import ModelConfig, Recognizer
+from ctcseq.training import evaluate
 
 seqs = st.text(alphabet="abc", max_size=8).map(list)
 short = st.sampled_from(["ab", "abc"]).flatmap(lambda letters: st.text(alphabet=letters, max_size=5))
@@ -100,3 +102,11 @@ class TestEvalReport:
         lines = report.to_lines().splitlines()
         assert lines[0].split("\t") == ["clip_a", "1.000000", "0", "0", "0", "3"]
         assert "mean letter accuracy" in report.to_table()
+
+    def test_no_clips_rejected(self):
+        """Accuracy over no clips is undefined, not 0."""
+        with pytest.raises(ValueError, match="empty set of clips"):
+            evaluate_clips([])
+        model = Recognizer(ModelConfig(feat_channels=4, embed_dim=8, encoder_layers=1, heads=2, ffn_hidden=8), seed=0)
+        with pytest.raises(ValueError, match="empty set of clips"):
+            evaluate(model, [])

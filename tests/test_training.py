@@ -1,4 +1,5 @@
 import ctypes
+import re
 import resource
 import tracemalloc
 import weakref
@@ -194,7 +195,8 @@ class TestTrainLoop:
         cfg = TrainConfig(epochs=1, seed=0, batch_size=2)
         with pytest.raises(TrainingDiverged) as exc:
             train(Recognizer(SMALL_MODEL, seed=0), tiny_split, cfg, out_dir=tmp_path)
-        assert "offending batch" in exc.value.dump
+        line = r"  clip \d+: target='[a-e]+' frames=\d+ handedness=(left|right) ctc=\S+ mel=\S+\n"
+        assert re.fullmatch(rf"offending batch:\n({line})+", exc.value.dump)
         assert (tmp_path / "diagnostic_dump.txt").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -177,7 +177,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, OSError, TrainingDiverged) as exc:
+    except (ValueError, OSError, MemoryError, TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -16,10 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctc import Alphabet, collapse
+from .ctc import NEG_INF, Alphabet, collapse
 from .lm import EOS, CharNGramModel
-
-NEG_INF = float("-inf")
 
 
 @dataclass

@@ -33,6 +33,9 @@ DROPOUT_ATTENTION = 0.1
 # strides of the feature extractor's four 3x3, padding-1 convs
 CONV_STRIDES = (2, 2, 1, 1)
 
+# how many frames before t the refiner's query at t sees
+CONTEXT_WINDOW = 5
+
 # fixed multiplier on the classifier output; keeps the head an affine
 # map while giving the logits usable dynamic range at small step sizes
 LOGIT_SCALE = 8.0
@@ -50,7 +53,6 @@ class ModelConfig:
     encoder_layers: int = 2
     heads: int = 2
     ffn_hidden: int = 64
-    context_window: int = 5
     num_classes: int = 5
 
     def __post_init__(self):
@@ -60,7 +62,7 @@ class ModelConfig:
             raise ValueError(f"each grid must have two sides: {self.feat_grid}, {self.pooled_grid}")
         check_ranges(self, {"feat_channels": ">= 1", "feat_grid": ">= 1", "pooled_grid": ">= 1",
                             "embed_dim": ">= 1", "encoder_layers": ">= 0", "heads": ">= 1", "ffn_hidden": ">= 1",
-                            "context_window": ">= 0", "num_classes": ">= 1"})
+                            "num_classes": ">= 1"})
         if self.embed_dim % self.heads != 0:
             raise ValueError(f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
         if any(p > f for p, f in zip(self.pooled_grid, self.feat_grid)):
@@ -221,14 +223,13 @@ class AttentionRefiner(Module):
         self.w_q = Parameter(rng.normal(0.0, std, size=(dim, dim)))
         self.w_k = Parameter(rng.normal(0.0, std, size=(dim, dim)))
         self.w_v = Parameter(rng.normal(0.0, std, size=(dim, dim)))
-        self.window = cfg.context_window
 
     def __call__(self, maps: Tensor) -> Tensor:
         t, h, w = maps.shape
         dim = h * w
         tokens = ad.reshape(maps, (t, dim)) * math.sqrt(dim) + Tensor(sinusoidal_encoding(t, dim))
         q, k, v = (ad.matmul(tokens, wm) for wm in (self.w_q, self.w_k, self.w_v))
-        return ad.reshape(causal_attention(q, k, v, self.window), (t, h, w))
+        return ad.reshape(causal_attention(q, k, v, CONTEXT_WINDOW), (t, h, w))
 
 
 class MultiHeadSelfAttention(Module):
@@ -440,7 +441,7 @@ def load_checkpoint(path) -> tuple[Recognizer, Alphabet]:
         alphabet = Alphabet(tuple(manifest["letters"]))
         if len(alphabet.letters) != model.cfg.num_classes:
             raise ValueError(f"letters {manifest['letters']!r} do not fit {model.cfg.num_classes} classes")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, MemoryError) as exc:
         raise ValueError(f"malformed model_config or letters in checkpoint {path}: {exc}") from None
     params = model.named_parameters()
     ends = np.cumsum([p.data.size for p in params.values()])

@@ -31,7 +31,7 @@ from ctcseq.losses import combined_loss, max_entropy_loss
 from ctcseq.metrics import letter_accuracy
 from ctcseq.model import ModelConfig, Recognizer, load_checkpoint, motion_prior, save_checkpoint
 from ctcseq.training import TrainConfig, ablate, evaluate, train
-from conftest import dist_of
+from conftest import dist_of, random_dist
 
 
 def report(number: int, label: str):
@@ -47,11 +47,6 @@ def report(number: int, label: str):
             return False
 
     return _Ctx()
-
-
-def random_dist(rng, t, cprime):
-    probs = rng.random((t, cprime)) + 1e-3
-    return probs / probs.sum(axis=1, keepdims=True)
 
 
 TOY = ModelConfig(

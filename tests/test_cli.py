@@ -75,7 +75,7 @@ def dir_digest(root: Path) -> dict:
 @pytest.fixture()
 def cfg_file(tmp_path):
     path = tmp_path / "fast.ini"
-    path.write_text(FAST_CONFIG)
+    path.write_text(FAST_CONFIG, encoding="utf-8")
     return str(path)
 
 
@@ -90,7 +90,7 @@ class TestSynth:
     def test_config_echo_written(self, tmp_path, cfg_file):
         out = tmp_path / "ds"
         main(["synth", "--seed", "1", "--n-clips", "6", "--out", str(out), "--config", cfg_file])
-        echo = (out / "config.resolved.ini").read_text()
+        echo = (out / "config.resolved.ini").read_text(encoding="utf-8")
         assert "[model]" in echo and "[train]" in echo and "[data]" in echo
         assert "frame_size = 32" in echo
 
@@ -100,7 +100,7 @@ class TestSynth:
         assert "seed 7)" in capsys.readouterr().out
         assert main(["synth", "--seed", "7", "--n-clips", "6", "--out", str(b), "--config", cfg_file]) == 0
         assert dir_digest(a) == dir_digest(b)
-        assert "seed = 7\n" in (a / "config.resolved.ini").read_text()
+        assert "seed = 7\n" in (a / "config.resolved.ini").read_text(encoding="utf-8")
 
     def test_env_seed_override(self, tmp_path, cfg_file, monkeypatch):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -115,7 +115,7 @@ class TestPipeline:
     def workspace(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("ws")
         cfg = root / "fast.ini"
-        cfg.write_text(FAST_CONFIG)
+        cfg.write_text(FAST_CONFIG, encoding="utf-8")
         data = root / "data"
         assert main(["synth", "--seed", "3", "--n-clips", "12", "--out", str(data),
                      "--config", str(cfg)]) == 0
@@ -147,20 +147,20 @@ class TestPipeline:
                      "--decoder", "greedy", "--out", str(out_g)]) == 0
         assert main(["eval", "--ckpt", str(ckpt), "--data", str(data),
                      "--decoder", "beam", "--beam-width", "1", "--out", str(out_b)]) == 0
-        greedy_lines = (out_g / "report.tsv").read_text()
-        beam_lines = (out_b / "report.tsv").read_text()
+        greedy_lines = (out_g / "report.tsv").read_text(encoding="utf-8")
+        beam_lines = (out_b / "report.tsv").read_text(encoding="utf-8")
         assert greedy_lines == beam_lines
 
     def test_decode_prints_a_letter_string(self, workspace, capsys):
         data, ckpt = workspace / "data", workspace / "run" / "best.ckpt"
-        clip = (data / "dev.index").read_text().splitlines()[0].split("\t")[0]
+        clip = (data / "dev.index").read_text(encoding="utf-8").splitlines()[0].split("\t")[0]
         assert main(["decode", "--ckpt", str(ckpt), "--clip", str(data / clip)]) == 0
         printed = capsys.readouterr().out.strip()
         assert set(printed) <= set("abcde")
 
     def test_ablate_prints_and_writes_the_table(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "one_epoch.ini"
-        cfg.write_text(FAST_CONFIG.replace("epochs = 2", "epochs = 1"))
+        cfg.write_text(FAST_CONFIG.replace("epochs = 2", "epochs = 1"), encoding="utf-8")
         out = tmp_path / "abl"
         assert main(["ablate", "--data", str(workspace / "data"), "--config", str(cfg),
                      "--out", str(out)]) == 0
@@ -169,14 +169,14 @@ class TestPipeline:
         assert header.split() == ["setting", "greedy", "beam", "beam-lm"]
         assert [row.split()[0] for row in rows] == ["ctc", "ctc+mel", "ctc+flip", "ctc+mel+flip"]
         assert all(len(row.split()) == 4 for row in rows)
-        assert (out / "ablation.txt").read_text() == printed
-        assert "epochs = 1" in (out / "config.resolved.ini").read_text()
+        assert (out / "ablation.txt").read_text(encoding="utf-8") == printed
+        assert "epochs = 1" in (out / "config.resolved.ini").read_text(encoding="utf-8")
 
     def test_eval_beam_lm(self, workspace, tmp_path, capsys):
         data, ckpt = workspace / "data", workspace / "run" / "best.ckpt"
         corpus = tmp_path / "corpus.txt"
-        words = [line.split("\t")[1] for line in (data / "train.index").read_text().splitlines()]
-        corpus.write_text("\n".join(words) + "\n")
+        words = [line.split("\t")[1] for line in (data / "train.index").read_text(encoding="utf-8").splitlines()]
+        corpus.write_text("\n".join(words) + "\n", encoding="utf-8")
         lm_path = tmp_path / "model.charlm"
         assert main(["lm-train", "--corpus", str(corpus), "--order", "2",
                      "--out", str(lm_path)]) == 0
@@ -188,10 +188,10 @@ class TestPipeline:
 class TestLmTrainCommand:
     def test_round_trip(self, tmp_path, capsys):
         corpus = tmp_path / "c.txt"
-        corpus.write_text("ab\nba\nab\n")
+        corpus.write_text("ab\nba\nab\n", encoding="utf-8")
         out = tmp_path / "m.charlm"
         assert main(["lm-train", "--corpus", str(corpus), "--order", "1", "--out", str(out)]) == 0
-        text = out.read_text()
+        text = out.read_text(encoding="utf-8")
         assert text.startswith("CHARLM v1 order=1")
 
     @pytest.mark.parametrize("line, char", [("·ab", "'·'"), ("a\tb", "'\\t'")], ids=["marker", "tab"])
@@ -294,6 +294,18 @@ class TestErrors:
         out, err = capsys.readouterr()
         assert out == "" and err == f"error: non-finite value in parameter 'classifier.bias' of checkpoint {ckpt}\n"
 
+    def test_model_too_large_to_allocate_is_one_error_line(self, tmp_path, capsys):
+        from ctcseq.data import GenConfig, save_dataset, synthesize
+
+        save_dataset(synthesize(0, 6, Alphabet(tuple("abcde")), GenConfig(frame_size=16)), tmp_path / "data")
+        cfg = tmp_path / "huge.ini"
+        # each refiner matrix needs 1.11 EiB, more than any address space, so the allocation fails at once
+        cfg.write_text("[model]\nfeat_grid = 20000x20000\n", encoding="utf-8")
+        code = main(["train", "--data", str(tmp_path / "data"), "--config", str(cfg), "--out", str(tmp_path / "run")])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
     def test_decode_beam_lm_without_lm(self, decode_files, capsys):
         assert main(decode_files + ["--decoder", "beam-lm"]) == 1
         err = capsys.readouterr().err
@@ -336,7 +348,7 @@ class TestErrors:
 
     def test_train_divergence_is_one_error_line(self, tmp_path, capsys):
         cfg = tmp_path / "diverge.ini"
-        cfg.write_text(FAST_CONFIG.replace("[train]\n", "[train]\nlr = 1e6\n"))
+        cfg.write_text(FAST_CONFIG.replace("[train]\n", "[train]\nlr = 1e6\n"), encoding="utf-8")
         data, run = tmp_path / "data", tmp_path / "run"
         assert main(["synth", "--n-clips", "40", "--out", str(data), "--config", str(cfg)]) == 0
         capsys.readouterr()
@@ -344,8 +356,8 @@ class TestErrors:
         out, err = capsys.readouterr()
         assert code == 1 and out == ""
         assert err.startswith("error: non-finite gradient at epoch 1") and err.count("\n") == 1
-        assert (run / "diagnostic_dump.txt").read_text().startswith("offending batch:")
-        assert "lr = 1000000.0\n" in (run / "config.resolved.ini").read_text()
+        assert (run / "diagnostic_dump.txt").read_text(encoding="utf-8").startswith("offending batch:")
+        assert "lr = 1000000.0\n" in (run / "config.resolved.ini").read_text(encoding="utf-8")
 
     def test_train_on_empty_dev_partition_is_one_error_line(self, tmp_path, capsys):
         data, run = tmp_path / "data", tmp_path / "run"
@@ -367,7 +379,7 @@ class TestErrors:
 
         data = tmp_path / "data"
         save_dataset(synthesize(0, 6, ABCDE, GenConfig(frame_size=16)), data)
-        (data / "test.index").write_text("")
+        (data / "test.index").write_text("", encoding="utf-8")
         assert main(["eval", "--ckpt", decode_files[2], "--data", str(data), "--split", "test"]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err == "error: no clips in partition 'test'\n"
@@ -480,7 +492,7 @@ class TestErrors:
 
     def test_bad_config_value_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
-        cfg.write_text("[train]\nflip_prob = 2.0\n")
+        cfg.write_text("[train]\nflip_prob = 2.0\n", encoding="utf-8")
         code = main(["synth", "--seed", "1", "--n-clips", "2",
                      "--out", str(tmp_path / "o"), "--config", str(cfg)])
         assert code == 1
@@ -503,6 +515,7 @@ class TestErrors:
         ("model", "dropout_encoder = 0.3", "unknown config key"),
         ("model", "dropout_attention = 0.1", "unknown config key"),
         ("model", "logit_scale = 8.0", "unknown config key"),
+        ("model", "context_window = 5", "unknown config key"),
         ("train", "beta1 = 0.9", "unknown config key"),
         ("train", "beta2 = 0.999", "unknown config key"),
         ("train", "eps = 1e-08", "unknown config key"),
@@ -529,7 +542,7 @@ class TestErrors:
     ])
     def test_bad_config_is_one_error_line(self, tmp_path, capsys, section, line, message):
         cfg = tmp_path / "bad.ini"
-        cfg.write_text(f"[{section}]\n{line}\n")
+        cfg.write_text(f"[{section}]\n{line}\n", encoding="utf-8")
         code = main(["synth", "--seed", "1", "--n-clips", "2",
                      "--out", str(tmp_path / "o"), "--config", str(cfg)])
         out, err = capsys.readouterr()
@@ -540,7 +553,7 @@ class TestErrors:
     # one out-of-range value for every config key; a new key without one fails the test below
     BAD_VALUES = {
         "model": {"feat_channels": "0", "feat_grid": "0x8", "pooled_grid": "9x9", "embed_dim": "0",
-                  "encoder_layers": "-1", "heads": "0", "ffn_hidden": "0", "context_window": "-1", "num_classes": "0"},
+                  "encoder_layers": "-1", "heads": "0", "ffn_hidden": "0", "num_classes": "0"},
         "train": {"lr": "0", "epochs": "0", "mel_weight": "2", "flip_prob": "2", "beam_width": "0", "lm_alpha": "2",
                   "lm_order": "0", "seed": "-1", "batch_size": "0"},
         "data": {"frame_size": "0", "min_letters": "0", "max_letters": "1", "n_signers": "0", "left_handed_rate": "2",
@@ -551,7 +564,7 @@ class TestErrors:
                                               for f in dataclasses.fields(cls)])
     def test_out_of_range_value_names_its_key(self, tmp_path, capsys, section, key):
         cfg = tmp_path / "bad.ini"
-        cfg.write_text(f"[{section}]\n{key} = {self.BAD_VALUES[section][key]}\n")
+        cfg.write_text(f"[{section}]\n{key} = {self.BAD_VALUES[section][key]}\n", encoding="utf-8")
         code = main(["synth", "--seed", "1", "--n-clips", "2",
                      "--out", str(tmp_path / "o"), "--config", str(cfg)])
         out, err = capsys.readouterr()
@@ -590,13 +603,13 @@ class TestErrors:
         data = tmp_path / "data"
         save_dataset(synthesize(0, 12, Alphabet(tuple("abcde")), GenConfig(frame_size=32, n_signers=5)), data)
         index = data / "train.index"
-        lines = index.read_text().splitlines()
+        lines = index.read_text(encoding="utf-8").splitlines()
         fields = lines[0].split("\t")
         if value is None:
             del fields[field]
         else:
             fields[field] = value
-        index.write_text("\n".join(["\t".join(fields), *lines[1:]]) + "\n")
+        index.write_text("\n".join(["\t".join(fields), *lines[1:]]) + "\n", encoding="utf-8")
         assert main(["train", "--data", str(data), "--config", str(cfg_file), "--out", str(tmp_path / "run")]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error:") and err.count("\n") == 1

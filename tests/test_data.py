@@ -285,7 +285,7 @@ class TestContainers:
     def test_index_line_format(self, tmp_path):
         split = synthesize(4, 8, ALPHABET, small_cfg())
         save_dataset(split, tmp_path / "ds")
-        line = (tmp_path / "ds" / "train.index").read_text().splitlines()[0]
+        line = (tmp_path / "ds" / "train.index").read_text(encoding="utf-8").splitlines()[0]
         rel, word, signer, handedness = line.split("\t")
         assert rel.startswith("clips/train_")
         assert set(word) <= set("abcde")

@@ -1,6 +1,6 @@
 """Source hygiene: no unused top-level import in the package, the tests or
 the scripts, no package definition that nothing names, and no text I/O in
-the package or the scripts that leaves its encoding to the locale."""
+any of them that leaves its encoding to the locale."""
 import ast
 import re
 from collections import Counter
@@ -124,8 +124,6 @@ def test_encoding_detector():
     assert unnamed_encodings(source) == ["line 1: open", "line 3: open", "line 6: open", "line 7: read_text"]
 
 
-# tests/ is left out: its test code still reads and writes text in the locale's encoding
-@pytest.mark.parametrize("path", [p for p in FILES if p.parent.name != "tests"],
-                         ids=lambda p: p.relative_to(ROOT).as_posix())
+@pytest.mark.parametrize("path", FILES, ids=lambda p: p.relative_to(ROOT).as_posix())
 def test_text_io_names_its_encoding(path):
     assert unnamed_encodings(path.read_text(encoding="utf-8")) == []

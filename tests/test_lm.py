@@ -101,12 +101,12 @@ class TestSerialization:
         model = lm_train(["ab"], order=1, smoothing_alpha=1.0)
         path = tmp_path / "m.charlm"
         save_lm(model, path)
-        first = path.read_text().splitlines()[0]
+        first = path.read_text(encoding="utf-8").splitlines()[0]
         assert first == "CHARLM v1 order=1 alpha=1.0"
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.charlm"
-        path.write_text("NOTALM v9\n")
+        path.write_text("NOTALM v9\n", encoding="utf-8")
         with pytest.raises(ValueError):
             load_lm(path)
 
@@ -169,5 +169,5 @@ class TestSerialization:
         model = lm_train(["ab"], order=1)
         path = tmp_path / "m.charlm"
         save_lm(model, path)
-        lines = path.read_text().splitlines()[1:]
+        lines = path.read_text(encoding="utf-8").splitlines()[1:]
         assert any(line.startswith("·\t") for line in lines)

@@ -15,6 +15,7 @@ from ctcseq.data import normalize
 from ctcseq.losses import combined_loss
 from ctcseq.model import (
     CKPT_MAGIC,
+    CONTEXT_WINDOW,
     ModelConfig,
     Recognizer,
     adaptive_pool,
@@ -159,15 +160,14 @@ class TestRefiner:
         assert np.array_equal(out[:4], base[:4])
 
     def test_window_limits_history(self):
-        cfg = ModelConfig(**{**TOY.__dict__, "context_window": 2})
-        model = Recognizer(cfg, seed=0)
+        model = Recognizer(TOY, seed=0)
         rng = np.random.default_rng(2)
-        maps = rng.random((6, 6, 6))
+        maps = rng.random((CONTEXT_WINDOW + 3, 6, 6))
         base = model.refiner(Tensor(maps)).data
         bumped = maps.copy()
-        bumped[0] += 1.0  # frame 0 is outside frame 4's window {2,3,4}
+        bumped[0] += 1.0  # frame 0 is outside the window of frame CONTEXT_WINDOW + 1
         out = model.refiner(Tensor(bumped)).data
-        assert np.array_equal(out[4], base[4])
+        assert np.array_equal(out[CONTEXT_WINDOW + 1], base[CONTEXT_WINDOW + 1])
         assert not np.array_equal(out[1], base[1])
 
 
@@ -483,14 +483,20 @@ class TestCheckpoints:
          "malformed model_config or letters"),
         (lambda m: {**m, "model_config": {**m["model_config"], "logit_scale": 8.0}},
          "malformed model_config or letters"),
+        (lambda m: {**m, "model_config": {**m["model_config"], "context_window": 5}},
+         "malformed model_config or letters"),
+        # each refiner matrix needs 1.11 EiB, more than any address space, so the allocation fails at once
+        (lambda m: {**m, "model_config": {**m["model_config"], "feat_grid": [20000, 20000]}},
+         "malformed model_config or letters"),
         (lambda m: {k: v for k, v in m.items() if k != "letters"}, "letters \\(a string\\)"),
         (lambda m: {**m, "letters": ["a", "b", "c", "d"]}, "letters \\(a string\\)"),
         (lambda m: {**m, "letters": "abca"}, "alphabet letters must be distinct"),
         (lambda m: {**m, "letters": "abc"}, "letters 'abc' do not fit 4 classes"),
     ], ids=["not-an-object", "no-payload-bytes", "no-params", "unknown-config-key", "entry-without-shape",
             "params-not-a-list", "list-name", "unknown-name", "wrong-shape", "missing-param", "swapped-entries",
-            "short-payload-bytes", "version-1", "float-heads", "one-entry-grid", "logit-scale-key", "no-letters",
-            "letters-not-a-string", "repeated-letter", "letters-not-num-classes"])
+            "short-payload-bytes", "version-1", "float-heads", "one-entry-grid", "logit-scale-key",
+            "context-window-key", "unallocatable-grid", "no-letters", "letters-not-a-string", "repeated-letter",
+            "letters-not-num-classes"])
     def test_malformed_manifest_rejected_naming_the_file(self, tmp_path, edit, message):
         path = tmp_path / "odd.ckpt"
         save_checkpoint(Recognizer(TOY, seed=0), path, ABCD)

@@ -125,7 +125,7 @@ class TestTrainLoop:
     def test_epoch_log_format(self, tiny_split, tmp_path):
         cfg = TrainConfig(epochs=2, seed=1, batch_size=4)
         result = train(Recognizer(SMALL_MODEL, seed=1), tiny_split, cfg, out_dir=tmp_path)
-        lines = (tmp_path / "epoch.log").read_text().splitlines()
+        lines = (tmp_path / "epoch.log").read_text(encoding="utf-8").splitlines()
         assert len(lines) == 2
         epoch, loss, acc = lines[0].split("\t")
         assert int(epoch) == 1
@@ -207,7 +207,7 @@ class TestTrainLoop:
             train(model, split, TrainConfig(lr=1e6, epochs=3, batch_size=4), out_dir=tmp_path)
         assert "diagnostic_dump.txt" in str(exc.value)
         assert exc.value.dump.startswith("offending batch:")
-        assert (tmp_path / "diagnostic_dump.txt").read_text() == exc.value.dump
+        assert (tmp_path / "diagnostic_dump.txt").read_text(encoding="utf-8") == exc.value.dump
         assert all(np.isfinite(p.data).all() for p in model.parameters())
 
     @pytest.mark.parametrize("empty", ["train", "dev"])

@@ -269,8 +269,10 @@ def matmul(a, b) -> Tensor:
     return _node(out_data, (a, b), vjp)
 
 
-def dropout(x, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; call only in training mode."""
+def dropout(x, p: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout with its mask drawn from ``rng``; without one, ``x`` itself."""
+    if rng is None:
+        return x
     return mul(x, (rng.random(x.shape) >= p) / (1.0 - p))
 
 

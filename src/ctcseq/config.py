@@ -41,14 +41,17 @@ def _parse_value(text: str, annotation):
 def load_config(path) -> dict:
     """Read a config file into {'model': ModelConfig, 'train': TrainConfig,
     'data': GenConfig}; missing keys keep their dataclass defaults. A
-    malformed file or value ends in a ValueError that names the file or the
-    key."""
-    parser = configparser.ConfigParser(interpolation=None)
+    malformed file, section or value ends in a ValueError that names the
+    file, the section or the key."""
+    parser = configparser.ConfigParser(interpolation=None, default_section="")  # so [DEFAULT] is unknown too
     path = Path(path)
     try:
         parser.read_string(read_utf8(path), source=str(path))
     except configparser.Error as exc:  # its message names the file, over several lines
         raise ValueError(" ".join(str(exc).split())) from None
+    for section in parser.sections():
+        if section not in SECTIONS:
+            raise ValueError(f"unknown config section [{section}]")
     out = {}
     for section, cls in SECTIONS.items():
         # annotations are strings under `from __future__ import annotations`

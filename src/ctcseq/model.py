@@ -263,14 +263,10 @@ class EncoderLayer(Module):
         self.ffn_out = Linear(cfg.ffn_hidden, cfg.embed_dim, rng)
         self.norm2 = LayerNorm(cfg.embed_dim)
 
-    def __call__(self, x: Tensor, training: bool, rng) -> Tensor:
-        a = self.attn(x)
-        if training:
-            a = ad.dropout(a, DROPOUT_ENCODER, rng)
+    def __call__(self, x: Tensor, rng) -> Tensor:
+        a = ad.dropout(self.attn(x), DROPOUT_ENCODER, rng)
         x = self.norm1(x + a)
-        f = self.ffn_out(ad.clamp_min(self.ffn_in(x), 0.0))
-        if training:
-            f = ad.dropout(f, DROPOUT_ENCODER, rng)
+        f = ad.dropout(self.ffn_out(ad.clamp_min(self.ffn_in(x), 0.0)), DROPOUT_ENCODER, rng)
         return self.norm2(x + f)
 
 
@@ -306,7 +302,7 @@ class Recognizer(Module):
         t, e = embeddings.shape
         x = embeddings * math.sqrt(e) + Tensor(sinusoidal_encoding(t, e))
         for layer in self.layers:
-            x = layer(x, training, rng)
+            x = layer(x, rng if training else None)
         return x
 
     # -- full pass --------------------------------------------------------
@@ -315,7 +311,6 @@ class Recognizer(Module):
         self,
         frames: np.ndarray,
         priors: np.ndarray,
-        training: bool = False,
         rng: np.random.Generator | None = None,
     ) -> FrameDistributionSeq:
         """Run the network on one normalized RGB clip (T, 3, H, W) and
@@ -323,22 +318,19 @@ class Recognizer(Module):
 
         ``priors`` are per-frame attention prior maps summing to 1, as
         ``motion_prior`` derives them from the raw (unnormalized) frames.
-        Dropout fires only when ``training`` is set, using ``rng``.
+        Dropout fires exactly when ``rng`` is given, drawing from it.
         """
-        if training and rng is None:
-            raise ValueError("training mode requires an rng for dropout")
         x = Tensor(frames)
 
         features = self.extractor(x)
         raw = self.spatial(features)
-        raw_for_refine = ad.dropout(raw, DROPOUT_ATTENTION, rng) if training else raw
-        refined = self.refiner(raw_for_refine)
+        refined = self.refiner(ad.dropout(raw, DROPOUT_ATTENTION, rng))
         final_maps = self.blend_with_prior(refined, priors)
 
         attended = apply_attention(features, final_maps)
         pooled = adaptive_pool(attended, self.cfg.pooled_grid)
         embeddings = self.embed(ad.reshape(pooled, (pooled.shape[0], -1)))
-        encoded = self.encode(embeddings, training, rng)
+        encoded = self.encode(embeddings, rng is not None, rng)
         logits = self.classifier(encoded) * LOGIT_SCALE
         return FrameDistributionSeq(ad.log_softmax(logits, axis=-1))
 

@@ -107,6 +107,9 @@ class TrainingDiverged(RuntimeError):
         super().__init__(message)
         self.dump = dump
 
+    def __reduce__(self):  # pickle and copy rebuild the error with its dump
+        return type(self), (str(self), self.dump)
+
 
 @dataclass
 class EpochRecord:
@@ -124,7 +127,7 @@ class TrainResult:
     skipped_clips: int
 
 
-def forward_frames(model: Recognizer, frames, training: bool = False, rng=None, name: str = "clip"):
+def forward_frames(model: Recognizer, frames, rng=None, name: str = "clip"):
     """Run ``model`` on raw RGB frames (T, 3, H, W) in [0, 1]: the motion
     prior comes from the raw frames, the network reads them normalized.
     Frames whose conv output is smaller than ``feat_grid`` raise a
@@ -137,7 +140,7 @@ def forward_frames(model: Recognizer, frames, training: bool = False, rng=None, 
         raise ValueError(f"{name}: input frames too small: {h}x{w} frames give conv output "
                          f"{size[0]}x{size[1]}, below feature grid {gh}x{gw}")
     priors = motion_prior(frames, model.cfg.feat_grid)
-    return model.forward(normalize(frames), priors=priors, training=training, rng=rng)
+    return model.forward(normalize(frames), priors=priors, rng=rng)
 
 
 def evaluate(model: Recognizer, clips: list[SyntheticClip], decoder: str = "greedy",
@@ -203,7 +206,7 @@ def train(model: Recognizer, split: DatasetSplit, cfg: TrainConfig,
                     skipped += 1
                     log.warning("skipping clip %d: target needs more frames than available", int(j))
                     continue
-                dist = forward_frames(model, clip.frames, training=True, rng=rng, name=f"clip {int(j)}")
+                dist = forward_frames(model, clip.frames, rng=rng, name=f"clip {int(j)}")
                 report = combined_loss(dist, clip.target, cfg.mel_weight)
                 dump.append(f"  clip {j}: target={split.alphabet.decode(clip.target)!r} frames={clip.num_frames} "
                             f"handedness={clip.handedness} ctc={report.ctc!r} mel={report.mel!r}")

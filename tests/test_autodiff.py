@@ -227,6 +227,8 @@ class TestOpGradients:
         backward(out.sum())
         # gradient equals the applied mask, so zeros line up exactly
         assert np.array_equal(x.grad == 0.0, out.data == 0.0)
+        # without an rng it is the identity: the input itself comes back and no node is built
+        assert ad.dropout(x, 0.4, None) is x
 
     def test_no_grad_blocks_graph(self):
         w = Parameter(np.ones(3))

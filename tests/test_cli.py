@@ -527,6 +527,9 @@ class TestErrors:
         ("data", "max_frames_per_letter = 1", "unknown config key"),
         ("data", "transition_frames = -1", "unknown config key"),
         ("data", "glyph_cells = 0", "unknown config key"),
+        # an unknown section, misspelt or configparser's DEFAULT, is refused, not skipped
+        ("trian", "epochs = 1", "unknown config section [trian]"),
+        ("DEFAULT", "epochs = 1", "unknown config section [DEFAULT]"),
         # malformed files and values name the file or the key
         ("train", "lr = 1\nlr = 2", "bad.ini' [line 3]: option 'lr' in section 'train' already exists"),
         ("train", "[model", "bad.ini' [line 2]: '[model\\n'"),

@@ -336,11 +336,13 @@ class TestFullModel:
         dist = forward_frames(model, frames)
         assert np.allclose(np.exp(dist.log_probs.data).sum(axis=1), 1.0, atol=1e-12)
 
-    def test_training_mode_requires_rng(self):
+    def test_dropout_fires_exactly_with_an_rng(self):
         model = Recognizer(TOY, seed=0)
         frames = toy_frames(np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            forward_frames(model, frames, training=True)
+        a = forward_frames(model, frames).log_probs.data
+        b = forward_frames(model, frames).log_probs.data
+        dropped = forward_frames(model, frames, rng=np.random.default_rng(0)).log_probs.data
+        assert np.array_equal(a, b) and not np.allclose(a, dropped)
 
     @pytest.mark.parametrize(
         "group",

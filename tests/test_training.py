@@ -1,4 +1,6 @@
+import copy
 import ctypes
+import pickle
 import re
 import resource
 import tracemalloc
@@ -210,6 +212,13 @@ class TestTrainLoop:
         assert (tmp_path / "diagnostic_dump.txt").read_text(encoding="utf-8") == exc.value.dump
         assert all(np.isfinite(p.data).all() for p in model.parameters())
 
+    @pytest.mark.parametrize("clone", [lambda e: pickle.loads(pickle.dumps(e)), copy.copy], ids=["pickle", "copy"])
+    def test_divergence_error_survives_pickling_and_copying(self, clone):
+        # a training run in a worker process hands its error, dump included, back through pickle
+        err = clone(TrainingDiverged("non-finite loss", "offending batch:\n  clip 3: ..."))
+        assert type(err) is TrainingDiverged and str(err) == "non-finite loss"
+        assert err.dump == "offending batch:\n  clip 3: ..."
+
     @pytest.mark.parametrize("empty", ["train", "dev"])
     def test_empty_partition_is_rejected(self, tiny_split, empty):
         split = replace(tiny_split, **{empty: []})
@@ -322,7 +331,7 @@ class TestPerClipBackward:
         model = Recognizer(ModelConfig(), seed=0)
         tracemalloc.start()
         try:
-            dist = forward_frames(model, clip.frames, training=True, rng=np.random.default_rng(0))
+            dist = forward_frames(model, clip.frames, rng=np.random.default_rng(0))
             report = combined_loss(dist, clip.target, 0.1)
             graph = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()

@@ -33,7 +33,7 @@ def train_reference(model: Recognizer, split: DatasetSplit, cfg: TrainConfig) ->
                 clip = split.train[int(j)]
                 if rng.random() < cfg.flip_prob:
                     clip = horizontal_flip(clip)
-                dist = forward_frames(model, clip.frames, training=True, rng=rng)
+                dist = forward_frames(model, clip.frames, rng=rng)
                 report = combined_loss(dist, clip.target, cfg.mel_weight)
                 if math.isfinite(report.total):
                     nodes.append(report.node)
